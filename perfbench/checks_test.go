@@ -192,3 +192,22 @@ func TestHistQuantileInterpolatesInsideBucket(t *testing.T) {
 		t.Errorf("spike median = %v, want 26.359", got)
 	}
 }
+
+func TestBucketOfMatchesHistogram(t *testing.T) {
+	for _, v := range []time.Duration{0, 1, 7, 8, 9, 1000, 26359, 28672, time.Millisecond, 3 * time.Second} {
+		lo, hi := bucketOf(v)
+		if lo > v || v >= hi {
+			t.Fatalf("bucketOf(%v) = [%v, %v), does not hold it", v, lo, hi)
+		}
+		// Every value of the bucket reads as its lower bound, the next
+		// one does not.
+		for _, d := range []time.Duration{lo, hi - 1, hi} {
+			var h ukpool.Histogram
+			h.Record(0)
+			h.Record(d)
+			if got, in := h.Quantile(1), d < hi; in != (got == lo) {
+				t.Errorf("bucketOf(%v) = [%v, %v), but %v reads as %v", v, lo, hi, d, got)
+			}
+		}
+	}
+}

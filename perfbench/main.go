@@ -68,9 +68,14 @@ func newBench(name string, seed uint64) (bench, error) {
 	return nil, fmt.Errorf("unknown workload %q (have %s)", name, strings.Join(workloads, ", "))
 }
 
-// setups is how many times a run builds the system; setup_s is their
-// median.
-const setups = 15
+// A run builds the system at least minSetups times and for at least
+// setupBudget of wall time; setup_s is the median. The first few set-ups
+// of a process grow the Go heap and fault fresh pages in, so a short
+// series lets that phase sway the median from run to run.
+const (
+	minSetups   = 15
+	setupBudget = 2 * time.Second
+)
 
 // config is one run's command line.
 type config struct {
@@ -172,7 +177,8 @@ func runBench(b bench, cfg config, w io.Writer) (*result, error) {
 
 	var setupS []float64
 	var setupRoots []int
-	for i := 0; i < setups; i++ {
+	setupStart := time.Now()
+	for i := 0; i < minSetups || time.Since(setupStart) < setupBudget; i++ {
 		runtime.GC()
 		sp := tr.begin("setup", noSpan, -1)
 		t0 := time.Now()

@@ -107,7 +107,7 @@ func TestSmokeWireFiles(t *testing.T) { smoke(t, "wire-files", 2) }
 
 func TestSmokeClusterSteady(t *testing.T) {
 	if testing.Short() {
-		t.Skip("serves 400K requests per round")
+		t.Skip("serves 1.2M requests per round")
 	}
 	smoke(t, "cluster-steady", 2)
 }

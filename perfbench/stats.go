@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math/bits"
 	"sort"
 	"syscall"
 	"time"
@@ -46,10 +45,10 @@ func exactQuantile(xs []float64, q float64) float64 {
 
 // histQuantileUs reads the q-quantile of a pool histogram in µs.
 // Histogram.Quantile returns the lower bound of the log bucket holding
-// the rank (8 sub-buckets per octave, so steps of up to 12%); this
-// interpolates linearly inside that bucket from the cumulative counts
-// FractionBelow exposes, so the figure moves with the data instead of
-// jumping a whole bucket at a time.
+// the rank (steps of up to 12%), which would read the same on most
+// seeds; this interpolates linearly inside that bucket from the
+// cumulative counts FractionBelow exposes, so the figure moves with the
+// data instead of jumping a whole bucket at a time.
 func histQuantileUs(h *ukpool.Histogram, q float64) float64 {
 	if h.Count == 0 {
 		return 0
@@ -74,16 +73,32 @@ func histQuantileUs(h *ukpool.Histogram, q float64) float64 {
 	return us(min(max(x, v), h.MaxV))
 }
 
-// bucketOf returns the bounds [lo, hi) of ukpool's log bucket holding
-// v: one nanosecond wide below 8ns, then eight buckets per power of two.
+// bucketOf returns the bounds [lo, hi) of the pool histogram's bucket
+// holding v. It asks ukpool instead of restating its bucket layout: a
+// histogram holding only 0 and d answers Quantile(1) with the lower
+// bound of d's bucket.
 func bucketOf(v time.Duration) (lo, hi time.Duration) {
-	if v < 8 {
-		return v, v + 1
+	low := func(d time.Duration) time.Duration {
+		var p ukpool.Histogram
+		p.Record(0)
+		p.Record(d)
+		return p.Quantile(1)
 	}
-	k := bits.Len64(uint64(v)) - 1
-	w := time.Duration(1) << (k - 3)
-	lo = v &^ (w - 1)
-	return lo, lo + w
+	lo = low(v)
+	l := v
+	hi = v + 1
+	for low(hi) == lo {
+		l, hi = hi, 2*hi
+	}
+	for hi-l > 1 { // low(l) == lo, low(hi) > lo
+		m := l + (hi-l)/2
+		if low(m) == lo {
+			l = m
+		} else {
+			hi = m
+		}
+	}
+	return lo, hi
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -12,9 +12,9 @@ import (
 // TestBaselineByteIdentity: the simulator is deterministic, so the
 // committed BENCH_baseline.json must regenerate cell for cell — +0.0%,
 // not merely within compare's throughput tolerance. This is the
-// regression gate for the engine swap: the timer wheel, the streaming
-// histograms and the parallel shard scheduler may change how results
-// are computed, never what they are. The engine experiment itself is
+// regression gate for refactors: the timer wheel, the parallel shard
+// scheduler and the shared fleet recipe may change how results are
+// computed, never what they are. The engine experiment itself is
 // exempt — its wall/ev-s/speedup cells are host measurements, gated
 // separately by ukbench -compare.
 func TestBaselineByteIdentity(t *testing.T) {
@@ -31,6 +31,7 @@ func TestBaselineByteIdentity(t *testing.T) {
 	}
 	deterministic := map[string]bool{
 		"serve": true, "cluster": true, "chaos": true, "overload": true,
+		"snapboot": true, "fileserve": true,
 	}
 	ran := 0
 	for _, base := range baseline {

@@ -193,20 +193,7 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The receiving host already holds the kernel image (the
-			// registry distributes those); the handoff ships only the
-			// template's post-boot delta: the privatized page-table
-			// pages, the heap allocator's write-set, and a descriptor
-			// per COW-marked page so the receiver can rebuild the
-			// share map — a diff snapshot, not a memory dump.
-			const pageDescBytes = 16
-			cfg.Activation = ukcluster.Activation{
-				Handoff: true,
-				ImageBytes: e.snap.PrivateOverheadBytes() + e.snap.HeapMetaBytes() +
-					e.snap.MarkedPages()*pageDescBytes,
-				ColdBoot: e.snap.Template().Report.Total(),
-				Attach:   r.platform.ForkSetup + time.Duration(r.profile.NICs)*r.platform.ForkNICSetup,
-			}
+			cfg.Activation = ukcluster.SnapshotHandoff(e.snap)
 		} else {
 			// No template to ship: a spill boots the image remotely
 			// through the whole pipeline. Measure one probe boot.

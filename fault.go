@@ -116,7 +116,8 @@ func WithBrownout(depth int) ClusterOption {
 // independent probability of crashing its serving instance mid-request
 // (partial service charged, instance restarted by fork, request
 // retried). Draws are keyed on request identity, so shard counts and
-// host placement don't change which requests crash.
+// host placement don't change which requests crash. A hazard outside
+// [0, 1] makes Serve return an error before anything boots.
 func WithPoolCrashHazard(hazard float64, seed uint64) PoolOption {
 	return ukpool.WithCrashHazard(hazard, seed)
 }

@@ -5,6 +5,8 @@ package unikraft
 // failover through Runtime.NewCluster, and the per-pool hazard options.
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -115,5 +117,30 @@ func TestPoolCrashOptionsSDK(t *testing.T) {
 	}
 	if len(rep.Series) == 0 {
 		t.Error("latency series not recorded")
+	}
+}
+
+// TestInvalidCrashHazardSDK: a hazard outside [0, 1], NaN included, is
+// an error from the SDK pool's Serve and from NewCluster's fault plan —
+// never a hang, and never silently served as zero.
+func TestInvalidCrashHazardSDK(t *testing.T) {
+	rt := NewRuntime()
+	defer rt.Close()
+	spec := NewSpec("helloworld", WithVMM("firecracker"), WithMemory(8<<20))
+	for _, h := range []float64{math.NaN(), -1, 1.5} {
+		t.Run(fmt.Sprint(h), func(t *testing.T) {
+			pool, err := rt.NewPool(spec, WithPoolWarm(2), WithPoolCrashHazard(h, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			if _, err := pool.Serve(PoissonWorkload(1, 10_000, 50, 64)); err == nil {
+				t.Error("pool Serve accepted the hazard")
+			}
+			if _, err := rt.NewCluster(spec, WithHosts(2),
+				WithFaultPlan(NewFaultPlan(1).WithVMHazard(h))); err == nil {
+				t.Error("NewCluster accepted the hazard")
+			}
+		})
 	}
 }

@@ -5,14 +5,9 @@ import (
 	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -44,58 +39,23 @@ const chaosSeries = 50 * time.Millisecond
 // the same trace reproduces the same report byte-for-byte, including
 // the empty plan, which must reproduce the fault-free serve exactly.
 func chaosServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("chaos: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerBoot(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
-	// Host pools: the same host-salted derivation the SDK and the
-	// cluster experiment use, plus the per-window latency series that
-	// recovery analysis reads. extra carries per-row options (VM crash
-	// hazard, breaker threshold).
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
+	// Host pools: the cluster experiment's fleet plus the per-window
+	// latency series that recovery analysis reads. extra carries
+	// per-row options (VM crash hazard, breaker threshold).
 	hostPool := func(extra ...ukpool.Option) func(host int) (*ukpool.Pool, error) {
-		return func(host int) (*ukpool.Pool, error) {
-			ctx, err := ukboot.NewContext(bootCfg)
-			if err != nil {
-				return nil, err
-			}
-			seed := uint64(host) * hostSalt
-			snap, err := ctx.Snapshot(sim.NewMachineWithSeed(seed))
-			if err != nil {
-				return nil, err
-			}
-			machine := func(id int) *sim.Machine {
-				return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
-			}
-			opts := []ukpool.Option{
+		return hostPools(bootCfg, true, func(int) []ukpool.Option {
+			return append([]ukpool.Option{
 				ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-				ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
+				heavyRequest, ukpool.WithColdBurst(8),
 				ukpool.WithScaleWindow(10 * time.Millisecond),
 				ukpool.WithLatencySeries(chaosSeries),
-				ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }),
-				ukpool.WithOnClose(snap.Close),
-			}
-			return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) },
-				append(opts, extra...)...), nil
-		}
+			}, extra...)
+		})
 	}
 
 	// Activation by snapshot handoff — the same re-handoff that seeds a
@@ -108,14 +68,8 @@ func chaosServe(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	handoff := ukcluster.Activation{
-		Handoff:    true,
-		ImageBytes: probe.PrivateOverheadBytes() + probe.HeapMetaBytes() + probe.MarkedPages()*16,
-		ColdBoot:   probe.Template().Report.Total(),
-	}
+	handoff := ukcluster.SnapshotHandoff(probe)
 	probe.Close()
-	handoff.Attach = bootCfg.Platform.ForkSetup +
-		time.Duration(bootCfg.NICs)*bootCfg.Platform.ForkNICSetup
 
 	// The trace: the cluster experiment's diurnal shape, but with the
 	// flash crowd at ~75% of full-fleet capacity (8 hosts x 2 cores at
@@ -268,7 +222,7 @@ func chaosServe(env *Env) (*Result, error) {
 // and recovery ends at the close of the last window that exceeds it.
 // Zero means the crash never pushed p99 outside what the trace had
 // already shown.
-func recoveryTime(series []ukpool.StreamHist, crashAt time.Duration) time.Duration {
+func recoveryTime(series []ukpool.Histogram, crashAt time.Duration) time.Duration {
 	crashWin := int(crashAt / chaosSeries)
 	var band time.Duration
 	for i := 0; i < crashWin && i < len(series); i++ {

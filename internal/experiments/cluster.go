@@ -5,13 +5,8 @@ import (
 	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -32,53 +27,20 @@ const clusterRequests = 10_000_000
 // rows at two million, and a handoff-vs-remote-cold-boot pair that
 // prices what shipping the template image buys at spill time.
 func clusterServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("cluster: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerBoot(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
 	// Each host owns a boot context (its own arena), a template
-	// snapshot, and a fork-boot pool — host-distinct deterministic
-	// seeds, the same derivation the public SDK uses.
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
-	hostPool := func(host int) (*ukpool.Pool, error) {
-		ctx, err := ukboot.NewContext(bootCfg)
-		if err != nil {
-			return nil, err
-		}
-		seed := uint64(host) * hostSalt
-		snap, err := ctx.Snapshot(sim.NewMachineWithSeed(seed))
-		if err != nil {
-			return nil, err
-		}
-		machine := func(id int) *sim.Machine {
-			return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
-		}
-		return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) },
+	// snapshot, and a fork-boot pool.
+	hostPool := hostPools(bootCfg, true, func(int) []ukpool.Option {
+		return []ukpool.Option{
 			ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-			ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-			ukpool.WithScaleWindow(10*time.Millisecond),
-			ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }),
-			ukpool.WithOnClose(snap.Close),
-		), nil
-	}
+			heavyRequest, ukpool.WithColdBurst(8),
+			ukpool.WithScaleWindow(10 * time.Millisecond),
+		}
+	})
 
 	// Price activation from a probe capture of the same template: the
 	// handoff ships the boot write-set (page-table pages, heap
@@ -92,15 +54,9 @@ func clusterServe(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	handoff := ukcluster.Activation{
-		Handoff:    true,
-		ImageBytes: probe.PrivateOverheadBytes() + probe.HeapMetaBytes() + probe.MarkedPages()*16,
-		ColdBoot:   probe.Template().Report.Total(),
-	}
-	remoteCold := ukcluster.Activation{ColdBoot: probe.Template().Report.Total()}
+	handoff := ukcluster.SnapshotHandoff(probe)
+	remoteCold := ukcluster.Activation{ColdBoot: handoff.ColdBoot}
 	probe.Close()
-	handoff.Attach = bootCfg.Platform.ForkSetup +
-		time.Duration(bootCfg.NICs)*bootCfg.Platform.ForkNICSetup
 
 	// The trace: a diurnal swing with a flash crowd burning at ~6x the
 	// initial two hosts' capacity (~85K req/s at ~47us/request over

@@ -5,15 +5,12 @@ import (
 	"time"
 
 	"unikraft/internal/apps/httpd"
-	"unikraft/internal/core"
 	"unikraft/internal/netstack"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 	"unikraft/internal/vfscore"
 )
@@ -294,29 +291,14 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 // by snapshot-fork: every clone shares the template's site tree
 // copy-on-write (ramfs) or through a sealed read-only view (shfs).
 func filePool(env *Env, backend, trace string, files map[string][]byte, mix []string) (*ukpool.Report, float64, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, 0, fmt.Errorf("nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	cfg, err := firecrackerBoot(env, "nginx")
 	if err != nil {
 		return nil, 0, err
 	}
-	alloc, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg := ukboot.Config{
-		Platform:     ukplat.KVMFirecracker,
-		MemBytes:     16 << 20,
-		ImageBytes:   img.Bytes,
-		Allocator:    alloc,
-		NICs:         profile.NICs,
-		Libs:         ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-		SnapshotBoot: true,
-		RootFS:       ukboot.RootRamfs,
-		Files:        files,
-	}
+	cfg.MemBytes = 16 << 20
+	cfg.SnapshotBoot = true
+	cfg.RootFS = ukboot.RootRamfs
+	cfg.Files = files
 	if backend == "shfs" {
 		cfg.RootFS = ukboot.RootSHFS
 	} else {

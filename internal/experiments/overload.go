@@ -5,14 +5,8 @@ import (
 	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
-	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -34,7 +28,7 @@ const (
 	overloadHosts = 2
 	overloadCores = 4
 	// overloadEstService matches the chaos experiment's calibration of
-	// the same cost model (4 syscalls + 170K app cycles): ~47us/request.
+	// the same cost model (heavyRequest): ~47us/request.
 	overloadEstService = 47 * time.Microsecond
 	// overloadRate is ~2.5x the 8-core fleet's ~170K req/s capacity.
 	overloadRate = 425_000
@@ -62,51 +56,26 @@ const overloadGoodputFloor = 0.95
 // Everything is deterministic; the armed-but-idle configuration must
 // reproduce the unarmed serve byte-for-byte.
 func overloadServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("overload: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerBoot(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
+	// Overload hosts boot their pinned instances without a template.
 	hostPool := func(hostOpts func(host int) []ukpool.Option) func(host int) (*ukpool.Pool, error) {
-		return func(host int) (*ukpool.Pool, error) {
-			ctx, err := ukboot.NewContext(bootCfg)
-			if err != nil {
-				return nil, err
-			}
-			seed := uint64(host) * hostSalt
-			machine := func(id int) *sim.Machine {
-				return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
-			}
+		return hostPools(bootCfg, false, func(host int) []ukpool.Option {
 			opts := []ukpool.Option{
 				// One instance pinned per event-loop shard: capacity is
 				// cores/serviceTime, nothing hides the queue.
 				ukpool.WithWarm(overloadCores), ukpool.WithMaxInstances(overloadCores),
-				ukpool.WithServiceCost(4, 170_000),
+				heavyRequest,
 				ukpool.DisableAutoscale(),
 			}
 			if hostOpts != nil {
 				opts = append(opts, hostOpts(host)...)
 			}
-			return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }, opts...), nil
-		}
+			return opts
+		})
 	}
 
 	serve := func(cfg ukcluster.Config, w ukpool.Workload, hostOpts func(host int) []ukpool.Option) (*ukcluster.Report, error) {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
@@ -27,29 +24,11 @@ const servingRequests = 1_000_000
 // trace demands. One steady Poisson trace of a million requests and one
 // bursty trace that forces the autoscaler to work for its keep.
 func serveDensity(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("serve: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerBoot(env, "nginx")
 	if err != nil {
 		return nil, err
 	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	// 8 MiB guests: density is the point — the paper's Fig 11 shows
-	// nginx needs single-digit MiB, and small guests keep a
-	// multi-hundred-instance fleet cheap on the host too.
-	ctx, err := ukboot.NewContext(ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-	})
+	ctx, err := ukboot.NewContext(bootCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +90,7 @@ func serveDensity(env *Env) (*Result, error) {
 	// demand-driven boots alone cannot keep up, so the bursts drive
 	// cold boots, queueing and both autoscaler directions.
 	bursty := newPool(ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-		ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
+		heavyRequest, ukpool.WithColdBurst(8),
 		ukpool.WithScaleWindow(10*time.Millisecond))
 	defer bursty.Close()
 	wl := ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, 250_000, 256)

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"unikraft/internal/core"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -32,26 +28,11 @@ func snapboot(env *Env) (*Result, error) {
 	}
 
 	appCtx := func(name string) (*ukboot.Context, error) {
-		profile, ok := core.AppByName(name)
-		if !ok {
-			return nil, fmt.Errorf("snapboot: app %s not registered", name)
-		}
-		img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+		cfg, err := firecrackerBoot(env, name)
 		if err != nil {
 			return nil, err
 		}
-		backend, err := ukalloc.ResolveBackend(profile.Allocator)
-		if err != nil {
-			return nil, err
-		}
-		return ukboot.NewContext(ukboot.Config{
-			Platform:   ukplat.KVMFirecracker,
-			MemBytes:   8 << 20,
-			ImageBytes: img.Bytes,
-			Allocator:  backend,
-			NICs:       profile.NICs,
-			Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-		})
+		return ukboot.NewContext(cfg)
 	}
 
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.4g", float64(d)/float64(time.Millisecond)) }
@@ -116,7 +97,7 @@ func snapboot(env *Env) (*Result, error) {
 	serveOpts := func(extra ...ukpool.Option) []ukpool.Option {
 		return append([]ukpool.Option{
 			ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-			ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
+			heavyRequest, ukpool.WithColdBurst(8),
 			ukpool.WithScaleWindow(10 * time.Millisecond),
 		}, extra...)
 	}

@@ -31,6 +31,7 @@ import (
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
+	"unikraft/internal/ukboot"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
 )
@@ -126,6 +127,27 @@ type Activation struct {
 	// Attach is the receive-side cost of installing a shipped image
 	// (mapping pages, COW-arming the table) before the first fork.
 	Attach time.Duration
+}
+
+// pageDescBytes is the handoff's per-page share-map descriptor.
+const pageDescBytes = 16
+
+// SnapshotHandoff prices activation by shipping s's template. The
+// receiving host already holds the kernel image (the registry
+// distributes those); the handoff ships only the template's post-boot
+// delta: the privatized page-table pages, the heap allocator's
+// write-set, and a descriptor per COW-marked page so the receiver can
+// rebuild the share map — a diff snapshot, not a memory dump. Attach
+// is the VMM's fork set-up plus one NIC re-plumb per device; ColdBoot
+// is the template's own mint time, the no-handoff alternative.
+func SnapshotHandoff(s *ukboot.Snapshot) Activation {
+	tmpl := s.Template()
+	return Activation{
+		Handoff:    true,
+		ImageBytes: s.PrivateOverheadBytes() + s.HeapMetaBytes() + s.MarkedPages()*pageDescBytes,
+		ColdBoot:   tmpl.Report.Total(),
+		Attach:     tmpl.Platform.ForkSetup + time.Duration(tmpl.Config.NICs)*tmpl.Platform.ForkNICSetup,
+	}
 }
 
 // Config parameterizes a Cluster. The zero value is not useful; New

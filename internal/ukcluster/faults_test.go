@@ -1,6 +1,8 @@
 package ukcluster
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -282,5 +284,33 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := New(cfg); err == nil {
 		t.Error("plan crashing host 5 of a 2-host cluster passed validation")
+	}
+}
+
+// TestInvalidVMHazardRejected: a VM hazard outside [0, 1], NaN
+// included, is refused at construction when the plan carries it and at
+// serve when a host pool does — never served as a crash on every
+// request.
+func TestInvalidVMHazardRejected(t *testing.T) {
+	for _, h := range []float64{math.NaN(), -1, 1.5} {
+		t.Run(fmt.Sprint(h), func(t *testing.T) {
+			cfg := Config{Hosts: 2, Faults: ukfault.New(1).WithVMHazard(h)}
+			cfg.NewPool = func(host int) (*ukpool.Pool, error) {
+				return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+			}
+			if _, err := New(cfg); err == nil {
+				t.Error("plan hazard passed validation")
+			}
+
+			c := newTestCluster(t, Config{Hosts: 2, InitialActive: 2,
+				NewPool: func(host int) (*ukpool.Pool, error) {
+					opts := append(testPoolOpts(), ukpool.WithCrashHazard(h, uint64(host)))
+					return ukpool.New(hostBoot(t, host), opts...), nil
+				}})
+			defer c.Close()
+			if _, err := c.Serve(flashTrace(200)); err == nil {
+				t.Error("host pool hazard served without error")
+			}
+		})
 	}
 }

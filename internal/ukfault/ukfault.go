@@ -69,6 +69,15 @@ type VMFaults struct {
 	Hazard float64
 }
 
+// Validate rejects a hazard outside [0, 1]. The comparison is written
+// so NaN fails it too: a NaN hazard would otherwise crash every draw.
+func (v VMFaults) Validate() error {
+	if !(v.Hazard >= 0 && v.Hazard <= 1) {
+		return fmt.Errorf("ukfault: vm hazard %v outside [0,1]", v.Hazard)
+	}
+	return nil
+}
+
 // Plan is one seeded fault schedule. The zero value (or nil) is the
 // perfect world every existing test assumes; Empty reports whether a
 // plan is equivalent to it.
@@ -180,10 +189,7 @@ func (p *Plan) Validate(hosts int) error {
 			return fmt.Errorf("ukfault: negative slow window on host %d", s.Host)
 		}
 	}
-	if p.VM.Hazard < 0 || p.VM.Hazard > 1 {
-		return fmt.Errorf("ukfault: vm hazard %v outside [0,1]", p.VM.Hazard)
-	}
-	return nil
+	return p.VM.Validate()
 }
 
 // CrashOf returns host's scheduled crash, if any. Validate guarantees

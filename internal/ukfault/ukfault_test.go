@@ -1,6 +1,7 @@
 package ukfault
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -36,6 +37,8 @@ func TestValidate(t *testing.T) {
 		New(1).DegradeLink(0, 0, time.Second, 0, 1.5),                // loss > 1
 		New(1).DegradeLink(-2, 0, time.Second, 0, 0.1),               // host < -1
 		New(1).WithVMHazard(2),                                       // hazard > 1
+		New(1).WithVMHazard(-1),                                      // hazard < 0
+		New(1).WithVMHazard(math.NaN()),                              // NaN hazard
 	}
 	for i, p := range cases {
 		if err := p.Validate(8); err == nil {

@@ -1,9 +1,14 @@
 package ukpool
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"unikraft/internal/ukboot"
 )
 
 // TestCrashHazardRestartsAndRetries: under a mid-request crash hazard
@@ -153,5 +158,33 @@ func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
 	}
 	if _, err := p.ServeParallel(NewPoisson(1, 10_000, 100, 256), 2); err == nil {
 		t.Error("ServeParallel on closed pool returned nil error")
+	}
+}
+
+// TestInvalidCrashHazardRejected: a hazard outside [0, 1] — NaN
+// included, which an ordered range check lets through — is an error
+// from both serve engines, returned before any instance boots. A NaN
+// hazard used to crash every request; a negative one was silently
+// served as zero.
+func TestInvalidCrashHazardRejected(t *testing.T) {
+	for _, h := range []float64{math.NaN(), -1, 1.5} {
+		t.Run(fmt.Sprint(h), func(t *testing.T) {
+			var boots atomic.Int32
+			boot := testBoot(t)
+			p := New(func(id int) (*ukboot.VM, error) {
+				boots.Add(1)
+				return boot(id)
+			}, WithWarm(2), WithMaxInstances(4), WithCrashHazard(h, 1))
+			defer p.Close()
+			if _, err := p.Serve(NewPoisson(1, 10_000, 50, 64)); err == nil {
+				t.Error("Serve accepted the hazard")
+			}
+			if _, err := p.ServeParallel(NewPoisson(1, 10_000, 50, 64), 2); err == nil {
+				t.Error("ServeParallel accepted the hazard")
+			}
+			if n := boots.Load(); n != 0 {
+				t.Errorf("%d instances booted before the hazard was rejected", n)
+			}
+		})
 	}
 }

@@ -196,7 +196,7 @@ func WithRequestWork(fn func(vm *ukboot.VM, seq int)) Option {
 }
 
 // WithCrashHazard arms the per-request VM crash hazard, seeded for
-// deterministic draws.
+// deterministic draws. A hazard outside [0, 1] makes serves fail.
 func WithCrashHazard(hazard float64, seed uint64) Option {
 	return func(c *Config) {
 		c.Faults.Hazard = hazard
@@ -377,7 +377,7 @@ func New(boot BootFunc, opts ...Option) *Pool {
 	if cfg.ScaleWindow <= 0 {
 		cfg.ScaleWindow = 50 * time.Millisecond
 	}
-	if cfg.Headroom < 1 {
+	if !(cfg.Headroom >= 1) {
 		cfg.Headroom = 1
 	}
 	if cfg.ColdBurst < 1 {
@@ -485,10 +485,7 @@ type Report struct {
 	// [i*W, (i+1)*W). Shard merges are element-wise (all shards share
 	// the virtual timeline), so the merged series is the cluster-wide
 	// latency timeline the chaos experiment reads recovery time off.
-	// Windows are streaming histograms: each holds only the latency
-	// buckets it actually saw, so a long trace's series costs memory
-	// proportional to its windows' spread, not window count x 2KB.
-	Series []StreamHist
+	Series []Histogram
 }
 
 // Completed is Requests minus Failed minus Expired — the requests that
@@ -540,7 +537,7 @@ func (r *Report) Merge(o *Report) {
 	r.ColdBoot.Merge(&o.ColdBoot)
 	r.Latency.Merge(&o.Latency)
 	for len(r.Series) < len(o.Series) {
-		r.Series = append(r.Series, StreamHist{})
+		r.Series = append(r.Series, Histogram{})
 	}
 	for i := range o.Series {
 		r.Series[i].Merge(&o.Series[i])
@@ -670,7 +667,7 @@ func (e *instEvent) Fire(now time.Duration) {
 		if w := p.cfg.SeriesWindow; w > 0 {
 			idx := int(now / w)
 			for len(st.rep.Series) <= idx {
-				st.rep.Series = append(st.rep.Series, StreamHist{})
+				st.rep.Series = append(st.rep.Series, Histogram{})
 			}
 			st.rep.Series[idx].Record(e.lat)
 		}
@@ -783,6 +780,9 @@ func (p *Pool) newLoop() sim.Loop {
 func (p *Pool) serveLocked(w Workload, crashAt time.Duration) (*Report, error) {
 	if p.closed {
 		return nil, fmt.Errorf("ukpool: serve on closed pool")
+	}
+	if err := p.cfg.Faults.Validate(); err != nil {
+		return nil, err
 	}
 
 	st := &serveState{loop: p.newLoop(), w: w, rep: &Report{}}
@@ -897,6 +897,9 @@ func (p *Pool) serveParallelLocked(w Workload, shards int, crashAt time.Duration
 	}
 	if p.closed {
 		return nil, fmt.Errorf("ukpool: serve on closed pool")
+	}
+	if err := p.cfg.Faults.Validate(); err != nil {
+		return nil, err
 	}
 
 	parts := make([][]Request, shards)

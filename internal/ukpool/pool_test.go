@@ -1,6 +1,7 @@
 package ukpool
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -393,5 +394,42 @@ func TestWorkloadShapes(t *testing.T) {
 	}
 	if inBurst <= inBase {
 		t.Errorf("bursty trace not bursty: %d in-burst vs %d in-base", inBurst, inBase)
+	}
+
+	// A NaN rate, duty or surge factor takes the same default as an
+	// out-of-range one: NaN fails every ordered comparison, so each
+	// guard lets only an in-range value through.
+	nan := math.NaN()
+	for _, c := range []struct {
+		name      string
+		got, want Workload
+	}{
+		{"poisson", NewPoisson(3, nan, 200, 64), NewPoisson(3, 0, 200, 64)},
+		{"bursty", NewBursty(3, nan, nan, time.Second, nan, 200, 64),
+			NewBursty(3, 0, 0, time.Second, 0, 200, 64)},
+		{"diurnal", NewDiurnal(3, nan, nan, time.Second, 0, time.Second, nan, 8, 200, 64),
+			NewDiurnal(3, 0, 0, time.Second, 0, time.Second, 0, 8, 200, 64)},
+		{"overload", NewOverload(3, nan, 200, 64).Surge(0, time.Second, nan),
+			NewOverload(3, 0, 200, 64).Surge(0, time.Second, 0)},
+	} {
+		for i := 0; ; i++ {
+			got, gok := c.got.Next()
+			want, wok := c.want.Next()
+			if gok != wok || got != want {
+				t.Errorf("%s: NaN trace request %d = %+v, default trace %+v", c.name, i, got, want)
+				break
+			}
+			if !gok {
+				break
+			}
+		}
+	}
+}
+
+// TestNaNHeadroomTakesFloor: a NaN headroom takes the floor of 1 like
+// any value below it, instead of poisoning every warm-set target.
+func TestNaNHeadroomTakesFloor(t *testing.T) {
+	if h := New(nil, WithHeadroom(math.NaN())).cfg.Headroom; h != 1 {
+		t.Errorf("NaN headroom = %v, want 1", h)
 	}
 }

@@ -71,7 +71,7 @@ type Poisson struct {
 // NewPoisson returns n requests of size bytes arriving at rate
 // requests/second, deterministically derived from seed.
 func NewPoisson(seed uint64, rate float64, n, bytes int) *Poisson {
-	if rate <= 0 {
+	if !(rate > 0) {
 		rate = 1
 	}
 	return &Poisson{rnd: sim.NewRand(seed), rate: rate, bytes: bytes, n: n}
@@ -106,16 +106,16 @@ type Bursty struct {
 // NewBursty returns n requests of size bytes with the given on/off
 // rates, period and burst duty cycle in (0, 1), derived from seed.
 func NewBursty(seed uint64, baseRate, burstRate float64, period time.Duration, duty float64, n, bytes int) *Bursty {
-	if baseRate <= 0 {
+	if !(baseRate > 0) {
 		baseRate = 1
 	}
-	if burstRate < baseRate {
+	if !(burstRate >= baseRate) {
 		burstRate = baseRate
 	}
 	if period <= 0 {
 		period = time.Second
 	}
-	if duty <= 0 || duty >= 1 {
+	if !(duty > 0 && duty < 1) {
 		duty = 0.1
 	}
 	return &Bursty{
@@ -165,16 +165,16 @@ type Diurnal struct {
 // disables the flash crowd; sessions <= 0 leaves requests anonymous.
 func NewDiurnal(seed uint64, baseRate, peakRate float64, period time.Duration,
 	flashAt, flashDur time.Duration, flashRate float64, sessions, n, bytes int) *Diurnal {
-	if baseRate <= 0 {
+	if !(baseRate > 0) {
 		baseRate = 1
 	}
-	if peakRate < baseRate {
+	if !(peakRate >= baseRate) {
 		peakRate = baseRate
 	}
 	if period <= 0 {
 		period = time.Second
 	}
-	if flashRate < peakRate {
+	if !(flashRate >= peakRate) {
 		flashRate = peakRate
 	}
 	return &Diurnal{
@@ -237,7 +237,7 @@ type Overload struct {
 // is interactive and carries no deadlines; chain Mix, Deadlines,
 // Sessions and Surge to shape it.
 func NewOverload(seed uint64, rate float64, n, bytes int) *Overload {
-	if rate <= 0 {
+	if !(rate > 0) {
 		rate = 1
 	}
 	return &Overload{rnd: sim.NewRand(seed), rate: rate, bytes: bytes, n: n, mix: 1}
@@ -273,7 +273,7 @@ func (o *Overload) Sessions(n int) *Overload {
 // Surge multiplies the arrival rate by factor inside [at, at+dur) —
 // the flash-crowd spike on top of the sustained overload.
 func (o *Overload) Surge(at, dur time.Duration, factor float64) *Overload {
-	if factor < 1 {
+	if !(factor >= 1) {
 		factor = 1
 	}
 	o.surgeAt, o.surgeEnd, o.surge = at, at+dur, factor

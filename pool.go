@@ -260,61 +260,3 @@ func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
 func WithPoolRequestWork(fn func(vm *VM, seq int)) PoolOption {
 	return ukpool.WithRequestWork(fn)
 }
-
-// Deprecated aliases for the pre-Pool-prefix option names. They behave
-// identically to their canonical forms and exist only so older call
-// sites keep compiling; new code should use the WithPool* names.
-
-// WithWarm is a deprecated alias.
-//
-// Deprecated: use WithPoolWarm.
-func WithWarm(n int) PoolOption { return WithPoolWarm(n) }
-
-// WithMaxInstances is a deprecated alias.
-//
-// Deprecated: use WithPoolMaxInstances.
-func WithMaxInstances(n int) PoolOption { return WithPoolMaxInstances(n) }
-
-// WithColdBurst is a deprecated alias.
-//
-// Deprecated: use WithPoolColdBurst.
-func WithColdBurst(n int) PoolOption { return WithPoolColdBurst(n) }
-
-// WithServiceCost is a deprecated alias.
-//
-// Deprecated: use WithPoolServiceCost.
-func WithServiceCost(syscalls int, appCycles uint64) PoolOption {
-	return WithPoolServiceCost(syscalls, appCycles)
-}
-
-// WithRecycleEvery is a deprecated alias.
-//
-// Deprecated: use WithPoolRecycleEvery.
-func WithRecycleEvery(n int) PoolOption { return WithPoolRecycleEvery(n) }
-
-// WithScaleWindow is a deprecated alias.
-//
-// Deprecated: use WithPoolScaleWindow.
-func WithScaleWindow(d time.Duration) PoolOption { return WithPoolScaleWindow(d) }
-
-// WithTargetP99 is a deprecated alias.
-//
-// Deprecated: use WithPoolTargetP99.
-func WithTargetP99(d time.Duration) PoolOption { return WithPoolTargetP99(d) }
-
-// WithHeadroom is a deprecated alias.
-//
-// Deprecated: use WithPoolHeadroom.
-func WithHeadroom(h float64) PoolOption { return WithPoolHeadroom(h) }
-
-// DisableAutoscale is a deprecated alias.
-//
-// Deprecated: use DisablePoolAutoscale.
-func DisableAutoscale() PoolOption { return DisablePoolAutoscale() }
-
-// WithRequestWork is a deprecated alias.
-//
-// Deprecated: use WithPoolRequestWork.
-func WithRequestWork(fn func(vm *VM, seq int)) PoolOption {
-	return WithPoolRequestWork(fn)
-}

@@ -31,7 +31,9 @@ func TestBaselineByteIdentity(t *testing.T) {
 	}
 	deterministic := map[string]bool{
 		"serve": true, "cluster": true, "chaos": true, "overload": true,
-		"snapboot": true, "fileserve": true,
+		"snapboot": true, "fileserve": true, "fig12": true, "fig13": true,
+		"fig15": true, "fig18": true, "tab4": true, "zerocopy": true,
+		"smpscale": true,
 	}
 	ran := 0
 	for _, base := range baseline {

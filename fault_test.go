@@ -120,6 +120,49 @@ func TestPoolCrashOptionsSDK(t *testing.T) {
 	}
 }
 
+// TestInvalidSlowdownAndLossSDK: NaN, infinite and out-of-range slow
+// factors and link losses are errors from the SDK pool and cluster
+// entry points, not zero latencies or silently ignored faults.
+func TestInvalidSlowdownAndLossSDK(t *testing.T) {
+	rt := NewRuntime()
+	defer rt.Close()
+	spec := NewSpec("helloworld", WithVMM("firecracker"), WithMemory(8<<20))
+	for _, f := range []float64{math.NaN(), math.Inf(1), 1e30, -2} {
+		t.Run(fmt.Sprint("slow=", f), func(t *testing.T) {
+			pool, err := rt.NewPool(spec, WithPoolWarm(2), WithPoolSlowdown(0, 0, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			if _, err := pool.Serve(PoissonWorkload(1, 10_000, 50, 64)); err == nil {
+				t.Error("pool Serve accepted the factor")
+			}
+			if _, err := rt.NewCluster(spec, WithHosts(3),
+				WithFaultPlan(NewFaultPlan(1).Slow(1, 0, 0, f))); err == nil {
+				t.Error("NewCluster accepted the factor")
+			}
+		})
+	}
+	for _, loss := range []float64{math.NaN(), -0.1, 1.5} {
+		t.Run(fmt.Sprint("loss=", loss), func(t *testing.T) {
+			if _, err := rt.NewCluster(spec, WithHosts(3),
+				WithFaultPlan(NewFaultPlan(1).DegradeLink(1, 0, 0, 0, loss))); err == nil {
+				t.Error("NewCluster accepted the loss")
+			}
+		})
+	}
+	for _, link := range []struct {
+		bps int64
+		rtt time.Duration
+	}{{1e9, -time.Millisecond}, {-1, 40 * time.Microsecond}} {
+		t.Run(fmt.Sprint("link=", link.bps, link.rtt), func(t *testing.T) {
+			if _, err := rt.NewCluster(spec, WithHosts(3), WithClusterLink(link.bps, link.rtt)); err == nil {
+				t.Error("NewCluster accepted the negative link")
+			}
+		})
+	}
+}
+
 // TestInvalidCrashHazardSDK: a hazard outside [0, 1], NaN included, is
 // an error from the SDK pool's Serve and from NewCluster's fault plan —
 // never a hang, and never silently served as zero.

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"unikraft/internal/apps/httpd"
-	"unikraft/internal/apps/kvstore"
 	"unikraft/internal/apps/sqldb"
 	"unikraft/internal/apps/udpkv"
 	"unikraft/internal/baselines"
 	"unikraft/internal/netstack"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/uknetdev"
 )
@@ -25,110 +22,6 @@ func init() {
 	register("tab4", "Specialized UDP key-value store", table4)
 }
 
-// tcpWorld wires a client and a server stack over a virtio pair.
-type tcpWorld struct {
-	cm, sm         *sim.Machine
-	client, server *netstack.Stack
-}
-
-// worldConfig selects the data-path variant a world runs on: the
-// calibrated copying baseline (zero value) or the zero-copy/coalesced
-// path the zerocopy experiment sweeps.
-type worldConfig struct {
-	zeroCopy bool
-	tuning   uknetdev.Tuning
-}
-
-func newTCPWorld(env *Env) (*tcpWorld, error) {
-	return newTCPWorldCfg(env, worldConfig{})
-}
-
-func newTCPWorldCfg(env *Env, wc worldConfig) (*tcpWorld, error) {
-	cm, sm := env.NewMachine(), env.NewMachine()
-	cd, sd, err := uknetdev.NewTunedPair(cm, sm, uknetdev.VhostNet, wc.tuning)
-	if err != nil {
-		return nil, err
-	}
-	return &tcpWorld{
-		cm: cm, sm: sm,
-		client: netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1), Name: "client", ZeroCopy: wc.zeroCopy}),
-		server: netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), Name: "server", ZeroCopy: wc.zeroCopy}),
-	}, nil
-}
-
-// redisRate measures the simulated Unikraft Redis server's sustainable
-// rate (requests/second of server-core time) for GET or SET with the
-// paper's parameters (30 connections, pipelining 16).
-func redisRate(env *Env, alloc string, set bool, requests int) (float64, error) {
-	return redisRateCfg(env, worldConfig{}, alloc, set, requests)
-}
-
-func redisRateCfg(env *Env, wc worldConfig, alloc string, set bool, requests int) (float64, error) {
-	w, err := newTCPWorldCfg(env, wc)
-	if err != nil {
-		return 0, err
-	}
-	a, err := ukalloc.NewInitialized(alloc, w.sm, 64<<20)
-	if err != nil {
-		return 0, err
-	}
-	srv, err := kvstore.New(w.server, a, 6379)
-	if err != nil {
-		return 0, err
-	}
-	bench := kvstore.NewBench(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379}, 30, set)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += bench.Collect()
-			if moved == 0 {
-				return
-			}
-		}
-	}
-	pump()
-	if !bench.Ready() {
-		return 0, fmt.Errorf("bench connections not established")
-	}
-	// Pre-populate keys so GETs hit, then measure.
-	if !set {
-		seed := kvstore.NewBench(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379}, 4, true)
-		pump()
-		for seed.Replies < 2000 {
-			seed.Fire(16)
-			for {
-				moved := w.client.Poll() + w.server.Poll()
-				srv.Poll()
-				moved += w.server.Poll() + w.client.Poll()
-				moved += seed.Collect()
-				if moved == 0 {
-					break
-				}
-			}
-		}
-	}
-	start := w.sm.CPU.Cycles()
-	startReplies := bench.Replies
-	for bench.Replies-startReplies < uint64(requests) {
-		before := bench.Replies
-		bench.Fire(16)
-		pump()
-		if bench.Replies == before {
-			// Residual packet loss: advance past the RTO so the TCP
-			// retransmission timers fire (idle time; not server work).
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000 // exclude idle gap from server-cycle accounting
-			pump()
-		}
-	}
-	served := float64(bench.Replies - startReplies)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	return float64(w.sm.CPU.Hz) / (cycles / served), nil
-}
-
 // redisShape is the per-request interaction pattern under pipelining 16
 // (segments amortize across ~16 requests), used by the Linux-family
 // overhead models.
@@ -136,11 +29,11 @@ var redisShape = baselines.RequestShape{Syscalls: 2.0 / 16, Packets: 2.0 / 16, A
 
 func fig12(env *Env) (*Result, error) {
 	requests := 20000
-	get, err := redisRate(env, "mimalloc", false, requests)
+	get, err := redisRate(env, worldConfig{}, 1, paperConns, "mimalloc", false, requests)
 	if err != nil {
 		return nil, err
 	}
-	set, err := redisRate(env, "mimalloc", true, requests)
+	set, err := redisRate(env, worldConfig{}, 1, paperConns, "mimalloc", true, requests)
 	if err != nil {
 		return nil, err
 	}
@@ -174,64 +67,12 @@ func fig12(env *Env) (*Result, error) {
 	return res, nil
 }
 
-// nginxRate measures the simulated Unikraft HTTP server.
-func nginxRate(env *Env, alloc string, requests int) (float64, error) {
-	return nginxRateCfg(env, worldConfig{}, alloc, requests)
-}
-
-func nginxRateCfg(env *Env, wc worldConfig, alloc string, requests int) (float64, error) {
-	w, err := newTCPWorldCfg(env, wc)
-	if err != nil {
-		return 0, err
-	}
-	a, err := ukalloc.NewInitialized(alloc, w.sm, 64<<20)
-	if err != nil {
-		return 0, err
-	}
-	srv, err := httpd.New(w.server, a, 80, nil)
-	if err != nil {
-		return 0, err
-	}
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
-	}
-	pump()
-	if !gen.Ready() {
-		return 0, fmt.Errorf("load generator not connected")
-	}
-	start := w.sm.CPU.Cycles()
-	startDone := gen.Completed
-	for gen.Completed-startDone < uint64(requests) {
-		before := gen.Completed
-		gen.Fire(1) // wrk: one outstanding request per connection
-		pump()
-		if gen.Completed == before {
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000
-			pump()
-		}
-	}
-	served := float64(gen.Completed - startDone)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	return float64(w.sm.CPU.Hz) / (cycles / served), nil
-}
-
 // nginxShape: one request per segment pair, ~2 syscalls per request
 // (read+write via epoll batching), modest allocator traffic.
 var nginxShape = baselines.RequestShape{Syscalls: 2, Packets: 2, AllocCycles: 120}
 
 func fig13(env *Env) (*Result, error) {
-	rate, err := nginxRate(env, "tlsf", 6000)
+	rate, err := nginxRate(env, worldConfig{}, 1, paperConns, "tlsf", 6000)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +106,7 @@ func fig15(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		rate, err := nginxRate(env, alloc, 4000)
+		rate, err := nginxRate(env, worldConfig{}, 1, paperConns, alloc, 4000)
 		if err != nil {
 			return nil, err
 		}
@@ -373,11 +214,11 @@ func fig18(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "GET-req/s", "SET-req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		get, err := redisRate(env, alloc, false, 8000)
+		get, err := redisRate(env, worldConfig{}, 1, paperConns, alloc, false, 8000)
 		if err != nil {
 			return nil, err
 		}
-		set, err := redisRate(env, alloc, true, 8000)
+		set, err := redisRate(env, worldConfig{}, 1, paperConns, alloc, true, 8000)
 		if err != nil {
 			return nil, err
 		}
@@ -474,35 +315,10 @@ func table4(env *Env) (*Result, error) {
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sockRate), "measured"})
 
 	// --- Unikraft specialized path (raw uknetdev, polling) -----------------
-	cm2, sm2 := env.NewMachine(), env.NewMachine()
-	cd2, sd2, err := uknetdev.NewPair(cm2, sm2, uknetdev.VhostUser)
+	rawRate, err := udpkvSMPRate(env, 1, reqs)
 	if err != nil {
 		return nil, err
 	}
-	client2 := netstack.New(cm2, cd2, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	rawSrv := udpkv.NewRawServer(sd2, netstack.IP(10, 0, 0, 2), 5000, udpkv.NewStore())
-	cli2, err := udpkv.NewClient(client2, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
-	if err != nil {
-		return nil, err
-	}
-	cli2.Set("k", []byte("v"))
-	client2.Poll()
-	rawSrv.Poll()
-	client2.Poll()
-	cli2.Drain()
-
-	start2 := sm2.CPU.Cycles()
-	done = 0
-	for done < reqs {
-		for i := 0; i < 32 && done+i < reqs; i++ {
-			cli2.Get("k")
-		}
-		client2.Poll()
-		rawSrv.Poll()
-		client2.Poll()
-		done += len(cli2.Drain())
-	}
-	rawRate := float64(sm2.CPU.Hz) / (float64(sm2.CPU.Cycles()-start2) / float64(done))
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(rawRate), "measured"})
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(rawRate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
 	res.Notes = append(res.Notes,

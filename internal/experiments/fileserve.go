@@ -8,7 +8,6 @@ import (
 	"unikraft/internal/netstack"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/uknetdev"
 	"unikraft/internal/ukpool"
@@ -193,19 +192,16 @@ type fileMetrics struct {
 // measurement, now through the serving stack's own backend objects).
 func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int) (fileMetrics, error) {
 	var met fileMetrics
-	w, err := newTCPWorldCfg(env, fc.wc)
+	w, err := newWorld(env, fc.wc, 1, "tlsf")
 	if err != nil {
 		return met, err
 	}
-	a, err := ukalloc.NewInitialized("tlsf", w.sm, 64<<20)
-	if err != nil {
-		return met, err
-	}
+	sm := w.ms[0]
 
 	var backend httpd.FileBackend
 	var vfs *vfscore.VFS
 	if fc.backend == "shfs" {
-		vol := shfs.New(w.sm, 2*len(files))
+		vol := shfs.New(sm, 2*len(files))
 		for _, p := range ukboot.SortedFilePaths(files) {
 			if err := vol.Add(p, files[p]); err != nil {
 				return met, err
@@ -218,7 +214,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		if err := ukboot.PopulateRamfs(rfs, files); err != nil {
 			return met, err
 		}
-		vfs = vfscore.New(w.sm)
+		vfs = vfscore.New(sm)
 		if err := vfs.Mount("/", rfs); err != nil {
 			return met, err
 		}
@@ -228,43 +224,18 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		backend = &httpd.VFSFiles{VFS: vfs}
 	}
 
-	srv, err := httpd.NewFileServer(w.server, a, 80, backend, fc.sendfile)
+	srv, err := httpd.NewFileServer(w.shards[0], w.allocs.Shard(0), 80, backend, fc.sendfile)
 	if err != nil {
 		return met, err
 	}
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
+	gen := httpd.NewLoadGenPorts(w.client, netstack.AddrPort{Addr: serverIP, Port: 80}, w.ports(80, paperConns))
 	gen.SetPaths(mix)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
-	}
+	pump := func() { w.pump(func(int) { srv.Poll() }, gen.Collect) }
 	pump()
 	if !gen.Ready() {
 		return met, fmt.Errorf("load generator not connected")
 	}
-	start := w.sm.CPU.Cycles()
-	startDone := gen.Completed
-	for gen.Completed-startDone < uint64(requests) {
-		before := gen.Completed
-		gen.Fire(1)
-		pump()
-		if gen.Completed == before {
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000
-			pump()
-		}
-	}
-	served := float64(gen.Completed - startDone)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	met.rate = float64(w.sm.CPU.Hz) / (cycles / served)
+	met.rate = w.measure(requests, func() uint64 { return gen.Completed }, func() { gen.Fire(1) }, pump)
 	if vfs != nil {
 		met.cacheHit = vfs.CacheStats().HitRatio()
 	}
@@ -273,7 +244,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 	// the rate above is already banked).
 	paths := ukboot.SortedFilePaths(files)
 	const loops = 1000
-	openStart := w.sm.CPU.Cycles()
+	openStart := sm.CPU.Cycles()
 	for i := 0; i < loops; i++ {
 		h, _, err := backend.Open(paths[i%len(paths)])
 		if err != nil {
@@ -281,7 +252,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		}
 		h.Close()
 	}
-	met.openCycles = float64(w.sm.CPU.Cycles()-openStart) / loops
+	met.openCycles = float64(sm.CPU.Cycles()-openStart) / loops
 	return met, nil
 }
 

@@ -40,11 +40,11 @@ func zerocopySweep(env *Env) (*Result, error) {
 	}
 	var baseNginx, baseRedis float64
 	for i, c := range configs {
-		nginx, err := nginxRateCfg(env, c.wc, "tlsf", nginxReqs)
+		nginx, err := nginxRate(env, c.wc, 1, paperConns, "tlsf", nginxReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s nginx: %w", c.name, err)
 		}
-		redis, err := redisRateCfg(env, c.wc, "mimalloc", false, redisReqs)
+		redis, err := redisRate(env, c.wc, 1, paperConns, "mimalloc", false, redisReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s redis: %w", c.name, err)
 		}

@@ -412,6 +412,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.RetryThrottleRatio > 0 && cfg.RetryThrottleBurst <= 0 {
 		cfg.RetryThrottleBurst = 50
 	}
+	if cfg.Link.RTT < 0 || cfg.Link.BytesPerSec < 0 {
+		return nil, fmt.Errorf("ukcluster: negative link (RTT %v, %d B/s)", cfg.Link.RTT, cfg.Link.BytesPerSec)
+	}
 	if err := cfg.Faults.Validate(cfg.Hosts); err != nil {
 		return nil, err
 	}

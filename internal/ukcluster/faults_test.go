@@ -314,3 +314,20 @@ func TestInvalidVMHazardRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeLinkRejected: a negative RTT or bandwidth is an error
+// from New. A -1ms RTT used to serve at a 0s p99 and a -1 B/s link
+// silently priced serialization as free.
+func TestNegativeLinkRejected(t *testing.T) {
+	for _, link := range []Link{
+		{BytesPerSec: 1e9, RTT: -time.Millisecond},
+		{BytesPerSec: -1, RTT: 40 * time.Microsecond},
+	} {
+		cfg := Config{Hosts: 3, Link: link, NewPool: func(host int) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+		}}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("link %+v accepted", link)
+		}
+	}
+}

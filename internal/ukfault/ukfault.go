@@ -78,6 +78,21 @@ func (v VMFaults) Validate() error {
 	return nil
 }
 
+// MaxSlowdown caps a service-time slowdown factor: a millionfold
+// slowdown is already a stalled host, and much beyond it the stretched
+// time.Duration overflows.
+const MaxSlowdown = 1e6
+
+// ValidateSlowdown rejects a slowdown factor the engines cannot price:
+// 0 is off, anything else must lie in [1, MaxSlowdown]. The comparison
+// is written so NaN fails it too.
+func ValidateSlowdown(f float64) error {
+	if f != 0 && !(f >= 1 && f <= MaxSlowdown) {
+		return fmt.Errorf("ukfault: slowdown factor %v outside [1,%g]", f, MaxSlowdown)
+	}
+	return nil
+}
+
 // Plan is one seeded fault schedule. The zero value (or nil) is the
 // perfect world every existing test assumes; Empty reports whether a
 // plan is equivalent to it.
@@ -166,7 +181,7 @@ func (p *Plan) Validate(hosts int) error {
 		if l.Host < -1 || l.Host >= hosts {
 			return fmt.Errorf("ukfault: link fault %d host %d out of range", i, l.Host)
 		}
-		if l.Loss < 0 || l.Loss > 1 {
+		if !(l.Loss >= 0 && l.Loss <= 1) {
 			return fmt.Errorf("ukfault: link fault %d loss %v outside [0,1]", i, l.Loss)
 		}
 		if l.ExtraDelay < 0 {
@@ -182,8 +197,8 @@ func (p *Plan) Validate(hosts int) error {
 			return fmt.Errorf("ukfault: host %d slowed more than once", s.Host)
 		}
 		slowed[s.Host] = true
-		if s.Factor < 1 {
-			return fmt.Errorf("ukfault: slow host %d factor %v below 1", s.Host, s.Factor)
+		if err := ValidateSlowdown(s.Factor); err != nil {
+			return fmt.Errorf("ukfault: slow host %d: %w", s.Host, err)
 		}
 		if s.From < 0 {
 			return fmt.Errorf("ukfault: negative slow window on host %d", s.Host)

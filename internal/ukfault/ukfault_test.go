@@ -39,10 +39,31 @@ func TestValidate(t *testing.T) {
 		New(1).WithVMHazard(2),                                       // hazard > 1
 		New(1).WithVMHazard(-1),                                      // hazard < 0
 		New(1).WithVMHazard(math.NaN()),                              // NaN hazard
+		New(1).DegradeLink(0, 0, time.Second, 0, math.NaN()),         // NaN loss
+		New(1).Slow(1, 0, 0, math.Inf(1)),                            // infinite factor
+		New(1).Slow(1, 0, 0, math.NaN()),                             // NaN factor
+		New(1).Slow(1, 0, 0, 1e30),                                   // factor > MaxSlowdown
+		New(1).Slow(1, 0, 0, 0.5),                                    // speed-up
+		New(1).Slow(1, 0, 0, -2),                                     // negative factor
 	}
 	for i, p := range cases {
 		if err := p.Validate(8); err == nil {
 			t.Errorf("case %d: invalid plan accepted", i)
+		}
+	}
+}
+
+// TestValidateSlowdown: 0 is off and [1, MaxSlowdown] is priced;
+// everything else — NaN and the infinities included — is an error.
+func TestValidateSlowdown(t *testing.T) {
+	for _, f := range []float64{0, 1, 3, MaxSlowdown} {
+		if err := ValidateSlowdown(f); err != nil {
+			t.Errorf("factor %v rejected: %v", f, err)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -2, 0.5, MaxSlowdown * 2, 1e30} {
+		if err := ValidateSlowdown(f); err == nil {
+			t.Errorf("factor %v accepted", f)
 		}
 	}
 }

@@ -401,25 +401,7 @@ func NewPair(ma, mb *sim.Machine, backend Backend) (*VirtioNet, *VirtioNet, erro
 // NewTunedPair is NewPair with kick/IRQ coalescing applied to both
 // devices.
 func NewTunedPair(ma, mb *sim.Machine, backend Backend, t Tuning) (*VirtioNet, *VirtioNet, error) {
-	a := NewVirtioNet(ma, MAC{0x02, 0, 0, 0, 0, 0xA}, backend)
-	b := NewVirtioNet(mb, MAC{0x02, 0, 0, 0, 0, 0xB}, backend)
-	Connect(a, b)
-	for _, d := range []*VirtioNet{a, b} {
-		d.SetTuning(t)
-		if err := d.Configure(1, 1); err != nil {
-			return nil, nil, err
-		}
-		if err := d.RxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-			return nil, nil, err
-		}
-		if err := d.TxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-			return nil, nil, err
-		}
-		if err := d.Start(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return a, b, nil
+	return NewMultiQueuePair(ma, []*sim.Machine{mb}, backend, t)
 }
 
 // NewMultiQueuePair builds and starts a connected client/server device

@@ -161,6 +161,39 @@ func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
 	}
 }
 
+// rejectedBeforeBoot asserts that both serve engines refuse a pool
+// built with opt, and that no instance boots before they do.
+func rejectedBeforeBoot(t *testing.T, opt Option) {
+	t.Helper()
+	var boots atomic.Int32
+	boot := testBoot(t)
+	p := New(func(id int) (*ukboot.VM, error) {
+		boots.Add(1)
+		return boot(id)
+	}, WithWarm(2), WithMaxInstances(4), opt)
+	defer p.Close()
+	if _, err := p.Serve(NewPoisson(1, 10_000, 50, 64)); err == nil {
+		t.Error("Serve accepted the setting")
+	}
+	if _, err := p.ServeParallel(NewPoisson(1, 10_000, 50, 64), 2); err == nil {
+		t.Error("ServeParallel accepted the setting")
+	}
+	if n := boots.Load(); n != 0 {
+		t.Errorf("%d instances booted before the setting was rejected", n)
+	}
+}
+
+// TestInvalidSlowdownRejected: a slowdown factor outside [1, 1e6] (0
+// is off) is an error from both serve engines, returned before any
+// instance boots. An infinite or 1e30 factor used to overflow the
+// stretched service time into a 0s p99; NaN and -2 were silently
+// served at full speed.
+func TestInvalidSlowdownRejected(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), 1e30, -2, 0.5} {
+		t.Run(fmt.Sprint(f), func(t *testing.T) { rejectedBeforeBoot(t, WithSlowdown(0, 0, f)) })
+	}
+}
+
 // TestInvalidCrashHazardRejected: a hazard outside [0, 1] — NaN
 // included, which an ordered range check lets through — is an error
 // from both serve engines, returned before any instance boots. A NaN
@@ -168,23 +201,6 @@ func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
 // served as zero.
 func TestInvalidCrashHazardRejected(t *testing.T) {
 	for _, h := range []float64{math.NaN(), -1, 1.5} {
-		t.Run(fmt.Sprint(h), func(t *testing.T) {
-			var boots atomic.Int32
-			boot := testBoot(t)
-			p := New(func(id int) (*ukboot.VM, error) {
-				boots.Add(1)
-				return boot(id)
-			}, WithWarm(2), WithMaxInstances(4), WithCrashHazard(h, 1))
-			defer p.Close()
-			if _, err := p.Serve(NewPoisson(1, 10_000, 50, 64)); err == nil {
-				t.Error("Serve accepted the hazard")
-			}
-			if _, err := p.ServeParallel(NewPoisson(1, 10_000, 50, 64), 2); err == nil {
-				t.Error("ServeParallel accepted the hazard")
-			}
-			if n := boots.Load(); n != 0 {
-				t.Errorf("%d instances booted before the hazard was rejected", n)
-			}
-		})
+		t.Run(fmt.Sprint(h), func(t *testing.T) { rejectedBeforeBoot(t, WithCrashHazard(h, 1)) })
 	}
 }

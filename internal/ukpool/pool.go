@@ -240,7 +240,8 @@ func WithBrownout(depth int) Option {
 }
 
 // WithSlowdown multiplies service times by factor inside [from, to) —
-// the slow-host fault scenario (factor <= 1 disables).
+// the slow-host fault scenario (0 disables; Serve rejects a factor
+// outside [1, ukfault.MaxSlowdown]).
 func WithSlowdown(from, to time.Duration, factor float64) Option {
 	return func(c *Config) {
 		c.SlowFrom, c.SlowTo, c.SlowFactor = from, to, factor
@@ -344,6 +345,15 @@ type Pool struct {
 	// (monotone under the pool lock; per child pool under
 	// ServeParallel, so hooks stay deterministic there too).
 	reqSeq int
+}
+
+// validate rejects fault settings the serve engines cannot execute;
+// both engines call it before anything boots.
+func (c *Config) validate() error {
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	return ukfault.ValidateSlowdown(c.SlowFactor)
 }
 
 // New builds a pool over boot. No instances are booted until Serve (or
@@ -781,7 +791,7 @@ func (p *Pool) serveLocked(w Workload, crashAt time.Duration) (*Report, error) {
 	if p.closed {
 		return nil, fmt.Errorf("ukpool: serve on closed pool")
 	}
-	if err := p.cfg.Faults.Validate(); err != nil {
+	if err := p.cfg.validate(); err != nil {
 		return nil, err
 	}
 
@@ -898,7 +908,7 @@ func (p *Pool) serveParallelLocked(w Workload, shards int, crashAt time.Duration
 	if p.closed {
 		return nil, fmt.Errorf("ukpool: serve on closed pool")
 	}
-	if err := p.cfg.Faults.Validate(); err != nil {
+	if err := p.cfg.validate(); err != nil {
 		return nil, err
 	}
 

@@ -166,12 +166,10 @@ func OverloadWorkload(seed uint64, rate float64, n, bytes int, opts ...OverloadO
 	return o
 }
 
-// Pool option re-exports. The canonical names carry the Pool prefix —
-// they configure a Pool, not a Spec, and the prefix keeps them from
-// colliding with spec options (WithZeroCopy the spec option vs
-// WithPoolZeroCopy the pool option was the first casualty of the
-// unprefixed scheme). The old unprefixed names remain as deprecated
-// aliases.
+// Pool option re-exports. The names carry the Pool prefix — they
+// configure a Pool, not a Spec. Datapath choices have no pool option:
+// NewPool derives them from the spec's WithZeroCopy, WithTxBatch and
+// WithSnapshotBoot.
 
 // WithPoolWarm sets the pool's warm-instance floor (default 8).
 func WithPoolWarm(n int) PoolOption { return ukpool.WithWarm(n) }
@@ -213,22 +211,6 @@ func DisablePoolAutoscale() PoolOption { return ukpool.DisableAutoscale() }
 // the pool's service-time model (for apps that serve from static
 // buffers).
 func DisablePoolPerRequestHeap() PoolOption { return ukpool.DisablePerRequestHeap() }
-
-// WithPoolZeroCopy drops the per-request payload copy charges from the
-// pool's service-time model (NewPool applies it automatically for specs
-// built with WithZeroCopy).
-func WithPoolZeroCopy() PoolOption { return ukpool.WithZeroCopy() }
-
-// WithPoolKickBatch amortizes per-request virtqueue kicks over batches
-// of n requests (NewPool applies it for specs built with WithTxBatch).
-func WithPoolKickBatch(n int) PoolOption { return ukpool.WithKickBatch(n) }
-
-// WithPoolForkBoot instantiates the fleet by snapshot-fork through the
-// given boot func (NewPool wires it automatically for specs built with
-// WithSnapshotBoot, pointing at a pool-owned template).
-func WithPoolForkBoot(fork func(id int) (*VM, error)) PoolOption {
-	return ukpool.WithForkBoot(fork)
-}
 
 // WithPoolDeadline stamps arrival + d as the deadline on every request
 // that reaches the pool without one. Expired requests — dead on

@@ -34,7 +34,8 @@ type live struct {
 	pattern byte
 }
 
-// Run executes the full conformance suite against a backend.
+// Run executes the full conformance suite against a backend; name is
+// its registry name, which the DirtyArena case constructs it by.
 func Run(t *testing.T, name string, mk New, caps Caps) {
 	t.Helper()
 	t.Run("Basics", func(t *testing.T) { testBasics(t, mk) })
@@ -45,6 +46,7 @@ func Run(t *testing.T, name string, mk New, caps Caps) {
 	t.Run("OOM", func(t *testing.T) { testOOM(t, mk, caps) })
 	t.Run("RandomWorkload", func(t *testing.T) { testRandomWorkload(t, mk, caps) })
 	t.Run("QuickNonOverlap", func(t *testing.T) { testQuickNonOverlap(t, mk) })
+	t.Run("DirtyArena", func(t *testing.T) { testDirtyArena(t, name, caps) })
 	if caps.Reclaims {
 		t.Run("Recovery", func(t *testing.T) { testRecovery(t, mk) })
 		t.Run("Churn", func(t *testing.T) { testChurn(t, mk, caps) })
@@ -241,8 +243,55 @@ func testOOM(t *testing.T, mk New, caps Caps) {
 // testRandomWorkload runs a deterministic random malloc/free/realloc mix
 // and continuously verifies that payloads do not stomp each other.
 func testRandomWorkload(t *testing.T, mk New, caps Caps) {
-	a := mk(8 << 20)
+	randomWorkload(t, mk(8<<20), caps)
+}
+
+// testDirtyArena: Init over an arena full of stale bytes must behave
+// exactly like Init over a zeroed one — the same Ptr sequence, Stats
+// and charged cycles on the random workload. VM.Reset and Context.Fork
+// re-initialize a used arena without zeroing it and rely on this.
+func testDirtyArena(t *testing.T, name string, caps Caps) {
+	caps.CheckConsistency = nil // bound to the conformance suite's instance
+	run := func(fill byte) ([]ukalloc.Ptr, ukalloc.Stats, uint64) {
+		arena := make([]byte, 8<<20)
+		for i := range arena {
+			arena[i] = fill
+		}
+		m := sim.NewMachine()
+		a, err := ukalloc.NewOver(name, m, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs := randomWorkload(t, a, caps)
+		return ptrs, a.Stats(), m.CPU.Cycles()
+	}
+	zPtrs, zStats, zCycles := run(0)
+	dPtrs, dStats, dCycles := run(0xA5)
+	if len(zPtrs) == 0 {
+		t.Fatal("workload allocated nothing")
+	}
+	if len(dPtrs) != len(zPtrs) {
+		t.Fatalf("dirty arena: %d allocations, zeroed arena: %d", len(dPtrs), len(zPtrs))
+	}
+	for i := range zPtrs {
+		if dPtrs[i] != zPtrs[i] {
+			t.Fatalf("allocation %d: dirty arena returned %d, zeroed arena %d", i, dPtrs[i], zPtrs[i])
+		}
+	}
+	if dStats != zStats {
+		t.Errorf("stats differ: dirty %+v, zeroed %+v", dStats, zStats)
+	}
+	if dCycles != zCycles {
+		t.Errorf("charged cycles differ: dirty %d, zeroed %d", dCycles, zCycles)
+	}
+}
+
+// randomWorkload drives a through a seeded malloc/free/realloc mix,
+// checking every payload survives until it is freed, and returns the
+// Ptr of every successful allocation in order.
+func randomWorkload(t *testing.T, a ukalloc.Allocator, caps Caps) []ukalloc.Ptr {
 	rng := sim.NewRand(42)
+	var ptrs []ukalloc.Ptr
 	var lives []live
 	check := func(l live) {
 		b := ukalloc.Bytes(a, l.p, l.n)
@@ -275,6 +324,7 @@ func testRandomWorkload(t *testing.T, mk New, caps Caps) {
 			if err != nil {
 				continue // heap pressure is fine
 			}
+			ptrs = append(ptrs, p)
 			l := live{p: p, n: n, pattern: byte(rng.Intn(255) + 1)}
 			fill(l)
 			lives = append(lives, l)
@@ -296,6 +346,7 @@ func testRandomWorkload(t *testing.T, mk New, caps Caps) {
 			if err != nil {
 				continue
 			}
+			ptrs = append(ptrs, np)
 			keep := l.n
 			if n < keep {
 				keep = n
@@ -326,6 +377,7 @@ func testRandomWorkload(t *testing.T, mk New, caps Caps) {
 			t.Fatalf("final consistency: %v", err)
 		}
 	}
+	return ptrs
 }
 
 // testQuickNonOverlap uses testing/quick to generate allocation size

@@ -67,6 +67,14 @@ func ResolveBackend(name string) (string, error) {
 // shared "make me a working allocator" path used by the boot pipeline,
 // the experiment harness and library users.
 func NewInitialized(name string, sink CostSink, heapBytes int) (Allocator, error) {
+	return NewOver(name, sink, make([]byte, heapBytes))
+}
+
+// NewOver constructs a backend by name (backend or catalog provider)
+// and initializes it over arena. The arena need not be zeroed: Init lays
+// the allocator's metadata over whatever bytes it holds, which is what
+// lets a recycled arena stand in for a fresh one.
+func NewOver(name string, sink CostSink, arena []byte) (Allocator, error) {
 	backend, err := ResolveBackend(name)
 	if err != nil {
 		return nil, err
@@ -75,8 +83,8 @@ func NewInitialized(name string, sink CostSink, heapBytes int) (Allocator, error
 	if err != nil {
 		return nil, err
 	}
-	if err := a.Init(make([]byte, heapBytes)); err != nil {
-		return nil, fmt.Errorf("ukalloc: init %s over %d-byte heap: %w", backend, heapBytes, err)
+	if err := a.Init(arena); err != nil {
+		return nil, fmt.Errorf("ukalloc: init %s over %d-byte heap: %w", backend, len(arena), err)
 	}
 	return a, nil
 }

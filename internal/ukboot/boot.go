@@ -8,6 +8,7 @@ package ukboot
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"unikraft/internal/ramfs"
@@ -188,6 +189,10 @@ type VM struct {
 	// Forked marks instances instantiated via Context.Fork rather than
 	// the full boot pipeline.
 	Forked bool
+	// home is the Context a forked clone hands its heap arena back to
+	// on Close (nil for booted VMs); closed makes that happen once.
+	home   *Context
+	closed bool
 }
 
 // stepKind discriminates the precomputed steps a Context replays.
@@ -229,6 +234,10 @@ type Context struct {
 	// stages groups step indices into parallel init stages when
 	// cfg.ParallelInit is set (nil otherwise: sequential pipeline).
 	stages [][]int
+	// arenas is the free list of heap arenas closed clones handed back;
+	// Fork re-initializes one before it allocates a fresh arena.
+	arenaMu sync.Mutex
+	arenas  [][]byte
 }
 
 // NewContext validates cfg (filling the stack-size and allocator
@@ -588,19 +597,12 @@ func Boot(m *sim.Machine, cfg Config) (*VM, error) {
 // instantiation, no page-table build, no driver constructors), which is
 // what makes keeping a warm pool worthwhile at all.
 func (vm *VM) Reset() error {
-	backend, err := ukalloc.ResolveBackend(vm.Config.Allocator)
-	if err != nil {
-		return fmt.Errorf("ukboot: reset: %w", err)
-	}
-	a, err := ukalloc.NewBackend(backend, vm.Machine)
-	if err != nil {
-		return fmt.Errorf("ukboot: reset: %w", err)
-	}
 	// Re-initialize over the existing arena: the guest's heap region
 	// does not move across a recycle, and reusing it keeps host-side
 	// reset cost at the allocator's metadata rebuild, not a fresh
 	// multi-megabyte allocation.
-	if err := a.Init(vm.Heap.Arena()); err != nil {
+	a, err := ukalloc.NewOver(vm.Config.Allocator, vm.Machine, vm.Heap.Arena())
+	if err != nil {
 		return fmt.Errorf("ukboot: reset: %w", err)
 	}
 	vm.Allocs = ukalloc.Registry{}
@@ -615,10 +617,19 @@ func (vm *VM) Reset() error {
 	return nil
 }
 
-// Close releases VM resources (scheduler goroutines).
+// Close releases VM resources: it stops the scheduler and hands a
+// forked clone's heap arena back to its Context for the next Fork. The
+// VM must not be used after Close; a second Close does nothing.
 func (vm *VM) Close() {
+	if vm.closed {
+		return
+	}
+	vm.closed = true
 	if vm.Sched != nil {
 		vm.Sched.Shutdown()
+	}
+	if vm.home != nil {
+		vm.home.putArena(vm.Heap.Arena())
 	}
 }
 

@@ -2,12 +2,15 @@ package ukboot
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	_ "unikraft/internal/allocators/bootalloc"
 	_ "unikraft/internal/allocators/tlsf"
 	"unikraft/internal/sim"
+	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukplat"
 	"unikraft/internal/uksched"
 )
@@ -229,6 +232,210 @@ func TestCOWInvariants(t *testing.T) {
 	if a.PageTable.PrivatePages == 0 || a.PageTable.SharedTables == 0 {
 		t.Errorf("clone accounting: private=%d shared=%d", a.PageTable.PrivatePages, a.PageTable.SharedTables)
 	}
+
+	// A clone that reuses a closed sibling's arena is just as disjoint
+	// from the live clone and the template.
+	b.Close()
+	c, err := ctx.Fork(sim.NewMachine(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cArena := c.Heap.Arena()
+	if !sameArena(cArena, bArena) {
+		t.Error("clone C did not reuse closed sibling B's arena")
+	}
+	if !disjoint(cArena, aArena) || !disjoint(cArena, tArena) {
+		t.Fatal("recycled arena overlaps clone A's or the template's")
+	}
+	q, err := c.Heap.Malloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cArena[int(q)] = 0xCD
+	if aArena[int(q)] == 0xCD || tArena[int(q)] == 0xCD {
+		t.Error("recycled clone C's heap write visible in clone A or template arena")
+	}
+}
+
+// sameArena reports whether two arenas are the same host memory.
+func sameArena(a, b []byte) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+
+// disjoint reports whether two arenas share no host byte.
+func disjoint(a, b []byte) bool {
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa+uintptr(len(a)) <= pb || pb+uintptr(len(b)) <= pa
+}
+
+// forkFixture builds a Context for cfg and captures its snapshot,
+// released when the test ends.
+func forkFixture(t *testing.T, cfg Config) (*Context, *Snapshot) {
+	t.Helper()
+	ctx, err := NewContext(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ctx.Snapshot(sim.NewMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(snap.Close)
+	return ctx, snap
+}
+
+// TestForkCloseTwice: Close is idempotent — a second Close must not
+// hand the arena back again, or the next two forks would share a heap.
+func TestForkCloseTwice(t *testing.T) {
+	ctx, snap := forkFixture(t, nginxCfg())
+	vm, err := ctx.Fork(sim.NewMachine(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := vm.Heap.Arena()
+	vm.Close()
+	vm.Close()
+	a, err := ctx.Fork(sim.NewMachine(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ctx.Fork(sim.NewMachine(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !sameArena(a.Heap.Arena(), closed) && !sameArena(b.Heap.Arena(), closed) {
+		t.Error("neither fork reused the closed clone's arena")
+	}
+	if !disjoint(a.Heap.Arena(), b.Heap.Arena()) {
+		t.Fatal("two live forks share one heap arena")
+	}
+}
+
+// TestForkCloseConcurrent forks and closes from concurrent goroutines,
+// as the pool's batched scale-up does: every live clone's heap stays
+// its own (a shared arena shows up as a clobbered payload here, and as
+// a data race under -race).
+func TestForkCloseConcurrent(t *testing.T) {
+	cfg := nginxCfg()
+	cfg.MemBytes = 16 << 20
+	ctx, snap := forkFixture(t, cfg)
+	const workers, rounds = 4, 16
+	sim.ParallelFor(workers, func(w int) {
+		for r := 0; r < rounds; r++ {
+			vm, err := ctx.Fork(sim.NewMachine(), snap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p, err := vm.Heap.Malloc(256)
+			if err != nil {
+				t.Error(err)
+				vm.Close()
+				return
+			}
+			buf := ukalloc.Bytes(vm.Heap, p, 256)
+			for i := range buf {
+				buf[i] = byte(w + 1)
+			}
+			runtime.Gosched()
+			for i, v := range buf {
+				if v != byte(w+1) {
+					t.Errorf("worker %d round %d: payload byte %d = %#x, another clone shares the arena", w, r, i, v)
+					break
+				}
+			}
+			vm.Close()
+		}
+	})
+}
+
+// TestForkRecycle: a fork over a recycled arena is the instance a fork
+// over a fresh arena is, and a steady fork/close loop stops costing the
+// host a fresh arena per fork.
+func TestForkRecycle(t *testing.T) {
+	t.Run("Identity", func(t *testing.T) {
+		freshCtx, freshSnap := forkFixture(t, nginxCfg())
+		ctx, snap := forkFixture(t, nginxCfg())
+
+		// Dirty a clone's heap with a tenant's garbage, then close it.
+		used, err := ctx.Fork(sim.NewMachine(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			p, err := used.Heap.Malloc(32 << 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := ukalloc.Bytes(used.Heap, p, 32<<10)
+			for j := range b {
+				b[j] = 0xFF
+			}
+		}
+		usedArena := used.Heap.Arena()
+		used.Close()
+
+		mRec, mRef := sim.NewMachine(), sim.NewMachine()
+		rec, err := ctx.Fork(mRec, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		if !sameArena(rec.Heap.Arena(), usedArena) {
+			t.Fatal("fork did not reuse the closed clone's arena")
+		}
+		ref, err := freshCtx.Fork(mRef, freshSnap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+
+		if !reflect.DeepEqual(rec.Report, ref.Report) {
+			t.Errorf("report differs: recycled %+v, fresh %+v", rec.Report, ref.Report)
+		}
+		if rec.Heap.Stats() != ref.Heap.Stats() {
+			t.Errorf("heap stats differ: recycled %+v, fresh %+v", rec.Heap.Stats(), ref.Heap.Stats())
+		}
+		if snap.HeapMetaBytes() != freshSnap.HeapMetaBytes() {
+			t.Errorf("snapshot heap footprint %d, fresh context %d", snap.HeapMetaBytes(), freshSnap.HeapMetaBytes())
+		}
+		// The same allocations land at the same Ptrs and charge alike.
+		for _, n := range []int{24, 4096, 100 << 10, 7, 1 << 20} {
+			pr, errR := rec.Heap.Malloc(n)
+			pf, errF := ref.Heap.Malloc(n)
+			if pr != pf || (errR == nil) != (errF == nil) {
+				t.Fatalf("Malloc(%d): recycled %d (%v), fresh %d (%v)", n, pr, errR, pf, errF)
+			}
+		}
+		if rec.Heap.Stats() != ref.Heap.Stats() || mRec.CPU.Cycles() != mRef.CPU.Cycles() {
+			t.Errorf("after allocating: recycled %+v at %d cycles, fresh %+v at %d cycles",
+				rec.Heap.Stats(), mRec.CPU.Cycles(), ref.Heap.Stats(), mRef.CPU.Cycles())
+		}
+	})
+
+	t.Run("HostAlloc", func(t *testing.T) {
+		ctx, snap := forkFixture(t, nginxCfg())
+		cycle := func() {
+			vm, err := ctx.Fork(sim.NewMachine(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm.Close()
+		}
+		cycle() // the free list now holds one arena
+		const ops = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / ops; per >= 1<<20 {
+			t.Errorf("steady fork/close allocates %d host bytes per op, want < 1 MiB (heap is %d bytes)",
+				per, ctx.HeapBytes())
+		}
+	})
 }
 
 // TestForkDeterminism: forks of the same snapshot charge identical

@@ -200,9 +200,11 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		// private arena models the COW copy without double-charging —
 		// the sink is detached during init (the metadata pages were
 		// faulted in above), then attached so later allocator work
-		// charges the clone's machine.
+		// charges the clone's machine. The private arena is a closed
+		// sibling's when one is free: Init lays the metadata over any
+		// bytes, exactly as VM.Reset does.
 		sink := &forkSink{}
-		a, err := ukalloc.NewInitialized(c.cfg.Allocator, sink, c.heapBytes)
+		a, err := ukalloc.NewOver(c.cfg.Allocator, sink, c.takeArena())
 		if err != nil {
 			return err
 		}
@@ -210,6 +212,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		m.Charge(heapAttachCycles)
 		vm.Allocs.Register(a)
 		vm.Heap = a
+		vm.home = c
 		return nil
 	}); err != nil {
 		return nil, err
@@ -281,6 +284,32 @@ func (c *Context) faultDirtyPages(m *sim.Machine, vm *VM, snap *Snapshot) error 
 		}
 	}
 	return nil
+}
+
+// takeArena pops a closed clone's heap arena off the free list, or
+// allocates a fresh one when the list is empty. Recycled arenas are not
+// zeroed: only Boot, which Snapshot measures with dirtyBytes, needs a
+// zeroed arena.
+func (c *Context) takeArena() []byte {
+	c.arenaMu.Lock()
+	n := len(c.arenas)
+	if n == 0 {
+		c.arenaMu.Unlock()
+		// Outside the lock: concurrent forks zero their arenas in parallel.
+		return make([]byte, c.heapBytes)
+	}
+	arena := c.arenas[n-1]
+	c.arenas[n-1] = nil
+	c.arenas = c.arenas[:n-1]
+	c.arenaMu.Unlock()
+	return arena
+}
+
+// putArena returns a closed clone's heap arena to the free list.
+func (c *Context) putArena(arena []byte) {
+	c.arenaMu.Lock()
+	c.arenas = append(c.arenas, arena)
+	c.arenaMu.Unlock()
 }
 
 // hasSched reports whether the boot recipe creates a scheduler.

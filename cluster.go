@@ -36,12 +36,10 @@ type clusterSettings struct {
 	retryLimit   int
 	retryBackoff time.Duration
 	retryBudget  int
-	shedWater    float64
 
 	deadline    time.Duration
 	admitTarget time.Duration
 	retryRatio  float64
-	retryBurst  float64
 }
 
 // WithHosts sets the total host count, standby included (default 1).
@@ -164,11 +162,9 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 		RetryLimit:         set.retryLimit,
 		RetryBackoff:       set.retryBackoff,
 		RetryBudget:        set.retryBudget,
-		ShedWater:          set.shedWater,
 		DefaultDeadline:    set.deadline,
 		AdmitTarget:        set.admitTarget,
 		RetryThrottleRatio: set.retryRatio,
-		RetryThrottleBurst: set.retryBurst,
 	}
 	if set.faults != nil {
 		// Domain-separate admission draws per plan; a planless cluster

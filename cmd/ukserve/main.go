@@ -194,7 +194,7 @@ func main() {
 			copts = append(copts, unikraft.WithAdmission(*admission))
 		}
 		if *retryThrottle > 0 {
-			copts = append(copts, unikraft.WithRetryThrottle(*retryThrottle, 0))
+			copts = append(copts, unikraft.WithRetryThrottle(*retryThrottle))
 		}
 		if *chaos || *hazard > 0 {
 			plan := unikraft.NewFaultPlan(*seed)

@@ -51,15 +51,6 @@ func WithRetryPolicy(limit int, backoff time.Duration, budget int) ClusterOption
 	}
 }
 
-// WithShedWater sets the admission-control threshold as a multiple of
-// the estimated per-request service time (default 4x the spill
-// high-water). While the surviving hosts' backlog per core exceeds it,
-// fresh arrivals are rejected at the front door — shed, accounted
-// separately from failures — instead of queueing into a latency cliff.
-func WithShedWater(mult float64) ClusterOption {
-	return func(c *clusterSettings) { c.shedWater = mult }
-}
-
 // WithDeadline gives every request without a deadline of its own an
 // end-to-end allowance of d from its arrival at the front door. The
 // router drops requests whose deadline passes while they queue at the
@@ -87,17 +78,14 @@ func WithAdmission(target time.Duration) ClusterOption {
 }
 
 // WithRetryThrottle arms the front door's retry token bucket: each
-// successful forward earns ratio tokens (capped at burst; burst <= 0
-// defaults to 50) and each retry of a lost forward spends one. When
+// successful forward earns ratio tokens (capped at 50, the bucket's
+// initial fill) and each retry of a lost forward spends one. When
 // losses outpace successes the bucket runs dry and further retries are
 // cut — counted Throttled, the request Failed — so aggregate retry
 // traffic is bounded at ~ratio of successful traffic and a partition
 // cannot ignite a retry storm.
-func WithRetryThrottle(ratio, burst float64) ClusterOption {
-	return func(c *clusterSettings) {
-		c.retryRatio = ratio
-		c.retryBurst = burst
-	}
+func WithRetryThrottle(ratio float64) ClusterOption {
+	return func(c *clusterSettings) { c.retryRatio = ratio }
 }
 
 // WithBrownout makes every host's pool degrade before it drops: when a
@@ -121,10 +109,6 @@ func WithBrownout(depth int) ClusterOption {
 func WithPoolCrashHazard(hazard float64, seed uint64) PoolOption {
 	return ukpool.WithCrashHazard(hazard, seed)
 }
-
-// WithPoolCrashRetries caps how many times a crashed request is
-// redispatched before it is reported failed (default 2).
-func WithPoolCrashRetries(n int) PoolOption { return ukpool.WithCrashRetries(n) }
 
 // WithPoolBreaker retires an instance after n consecutive mid-request
 // crashes instead of restarting it again (default 3; the circuit

@@ -91,15 +91,15 @@ func TestFaultPlanFailoverDeterministic(t *testing.T) {
 	}
 }
 
-// TestPoolCrashOptionsSDK: the pool-level hazard, retry cap and breaker
-// ride the public option surface, and the accounting identity holds.
+// TestPoolCrashOptionsSDK: the pool-level hazard and breaker ride the
+// public option surface, and the accounting identity holds.
 func TestPoolCrashOptionsSDK(t *testing.T) {
 	spec := NewSpec("helloworld", WithVMM("firecracker"), WithMemory(8<<20))
 	rt := NewRuntime()
 	pool, err := rt.NewPool(spec,
 		WithPoolWarm(4), WithPoolMaxInstances(32),
 		WithPoolCrashHazard(0.01, 77),
-		WithPoolCrashRetries(2), WithPoolBreaker(3),
+		WithPoolBreaker(3),
 		WithPoolLatencySeries(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -199,32 +199,12 @@ type Config struct {
 	// acting (defaults 2 and 8 — the cluster grows eagerly and shrinks
 	// reluctantly).
 	SpillAfter, DrainAfter int
-	// VirtualNodes is the consistent-hash ring density per host
-	// (default 64).
-	VirtualNodes int
-	// NewMachine builds the front door's own machine (default
-	// sim.NewMachine).
-	NewMachine func() *sim.Machine
 
-	// Faults, when non-nil and carrying cluster-level faults (host
-	// crashes or link faults), arms the failure-detection and retry
-	// machinery below. A nil or empty plan leaves the serve byte-
-	// identical to a cluster built without one.
+	// Faults is the fault plan every serve runs (nil: an empty plan).
+	// Host crashes, link faults and slow hosts arm the probe schedule
+	// and the static shed cliff; a plan without them leaves the serve
+	// byte-identical to one without a plan.
 	Faults *ukfault.Plan
-	// ProbeEvery is the health-probe round period (default 5ms);
-	// ProbeMisses how many unanswered rounds declare a host dead
-	// (default 2); ProbeTimeout the per-probe reply deadline (default
-	// 4x Link.RTT). Together they set the failure-detection latency:
-	// a crash at T is detected at the ProbeMisses-th missed round's
-	// timeout — see detectTime.
-	ProbeEvery   time.Duration
-	ProbeMisses  int
-	ProbeTimeout time.Duration
-	// ReplyTimeout is how long the router waits for a forwarded
-	// request's reply before declaring the forward lost (default 1ms).
-	// Crash detection can beat it: whichever signal lands first
-	// triggers the retry.
-	ReplyTimeout time.Duration
 	// RetryLimit bounds per-request retries of lost forwards (default
 	// 3); RetryBackoff is the base of the exponential backoff between
 	// attempts (default 250µs); RetryBudget caps retries per trace
@@ -233,14 +213,6 @@ type Config struct {
 	RetryLimit   int
 	RetryBackoff time.Duration
 	RetryBudget  int
-	// ShedWater is the admission-control threshold, in units of
-	// EstService of backlog per core (default 4x HighWater, evaluated
-	// only when a fault plan is armed). Shedding is a last resort:
-	// it triggers only when no activatable standby remains — the
-	// fleet maxed out or the spares crashed — and the surviving
-	// hosts' backlog still exceeds the threshold; arrivals then get a
-	// cheap reject instead of queueing without bound.
-	ShedWater float64
 
 	// Overload control (all off by default; a config that leaves every
 	// field below at its zero value serves byte-identically to one that
@@ -252,17 +224,14 @@ type Config struct {
 	// target and sheds a proportional fraction of new arrivals when the
 	// delay exceeds it — CoDel's insight (control on queueing *delay*,
 	// not queue length) applied at the front door, replacing the static
-	// ShedWater cliff with a controller that stabilizes the backlog
-	// near the target at any overload ratio. Shedding is staged by
-	// priority class: batch traffic sheds as soon as the delay crosses
-	// AdmitTarget, interactive traffic only past AdmitInteractiveMult
+	// shed cliff with a controller that stabilizes the backlog near
+	// the target at any overload ratio. Shedding is staged by priority
+	// class: batch traffic sheds as soon as the delay crosses
+	// AdmitTarget, interactive traffic only past admitInteractiveMult
 	// times the target. Drop decisions are identity-keyed deterministic
 	// draws (AdmitSeed), never rate counters, so they are invariant
 	// across shard counts and byte-identical across runs.
 	AdmitTarget time.Duration
-	// AdmitInteractiveMult is the interactive shed threshold as a
-	// multiple of AdmitTarget (default 3).
-	AdmitInteractiveMult float64
 	// AdmitSeed domain-separates the admission drop draws.
 	AdmitSeed uint64
 	// DefaultDeadline, when > 0, stamps arrival + DefaultDeadline on
@@ -275,7 +244,7 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// RetryThrottleRatio, when > 0, arms the retry token bucket: every
 	// successful forward earns the bucket RetryThrottleRatio tokens
-	// (capped at RetryThrottleBurst) and every retry of a lost forward
+	// (capped at retryThrottleBurst) and every retry of a lost forward
 	// spends one. When losses outpace successes the bucket empties and
 	// further retries are cut (counted Throttled, the request Failed) —
 	// retries can never exceed ~RetryThrottleRatio of successful
@@ -283,10 +252,38 @@ type Config struct {
 	// RetryLimit and RetryBackoff alone cannot (they bound each
 	// request, not the aggregate).
 	RetryThrottleRatio float64
-	// RetryThrottleBurst is the bucket capacity and initial fill
-	// (default 50 when the throttle is armed).
-	RetryThrottleBurst float64
 }
+
+// Front-door settings no deployment varies, settled here once instead
+// of threaded through Config.
+const (
+	// virtualNodes is the consistent-hash ring density per host.
+	virtualNodes = 64
+	// probeEvery is the health-probe round period and probeMisses how
+	// many unanswered rounds declare a host dead; each probe's reply
+	// deadline is probeTimeoutRTTs link round trips. Together they set
+	// the failure-detection latency — see detectTime.
+	probeEvery       = 5 * time.Millisecond
+	probeMisses      = 2
+	probeTimeoutRTTs = 4
+	// replyTimeout is how long the router waits for a forwarded
+	// request's reply before declaring the forward lost. Crash
+	// detection can beat it: whichever signal lands first triggers the
+	// retry.
+	replyTimeout = time.Millisecond
+	// shedWaterMult places the static shed cliff at this multiple of
+	// HighWater (backlog per core, in EstService units). It is a last
+	// resort, live only under a plan with cluster faults: arrivals get
+	// a cheap reject once no activatable standby remains and the
+	// surviving hosts' backlog still exceeds it.
+	shedWaterMult = 4
+	// admitInteractiveMult is the adaptive admission controller's
+	// interactive shed threshold, as a multiple of AdmitTarget.
+	admitInteractiveMult = 3
+	// retryThrottleBurst is the retry token bucket's capacity and
+	// initial fill.
+	retryThrottleBurst = 50
+)
 
 // overloadControl reports whether any overload-control feature needs
 // the front door (admission, default deadlines, retry throttling) —
@@ -373,44 +370,17 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DrainAfter < 1 {
 		cfg.DrainAfter = 8
 	}
-	if cfg.VirtualNodes < 1 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.Link.BytesPerSec == 0 {
 		cfg.Link.BytesPerSec = 1_250_000_000 // 10 GbE
 	}
 	if cfg.Link.RTT == 0 {
 		cfg.Link.RTT = 40 * time.Microsecond
 	}
-	if cfg.NewMachine == nil {
-		cfg.NewMachine = sim.NewMachine
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 5 * time.Millisecond
-	}
-	if cfg.ProbeMisses < 1 {
-		cfg.ProbeMisses = 2
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 4 * cfg.Link.RTT
-	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = time.Millisecond
-	}
 	if cfg.RetryLimit < 1 {
 		cfg.RetryLimit = 3
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Microsecond
-	}
-	if cfg.ShedWater <= 0 {
-		cfg.ShedWater = 4 * cfg.HighWater
-	}
-	if cfg.AdmitTarget > 0 && cfg.AdmitInteractiveMult <= 0 {
-		cfg.AdmitInteractiveMult = 3
-	}
-	if cfg.RetryThrottleRatio > 0 && cfg.RetryThrottleBurst <= 0 {
-		cfg.RetryThrottleBurst = 50
 	}
 	if cfg.Link.RTT < 0 || cfg.Link.BytesPerSec < 0 {
 		return nil, fmt.Errorf("ukcluster: negative link (RTT %v, %d B/s)", cfg.Link.RTT, cfg.Link.BytesPerSec)
@@ -441,13 +411,7 @@ func (c *Cluster) Hosts() int { return c.cfg.Hosts }
 func (c *Cluster) Active() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, h := range c.hosts {
-		if h.active {
-			n++
-		}
-	}
-	return n
+	return c.serving()
 }
 
 // Close retires every host's pool. The cluster must not be serving.
@@ -524,10 +488,8 @@ func (c *Cluster) serveHosts(st *routeState) error {
 		})
 	}
 	wreckOf := map[int]*wreck{}
-	if st.f != nil {
-		for _, wr := range st.f.wrecks {
-			wreckOf[wr.hostID] = wr // at most one: a host crashes once per plan
-		}
+	for _, wr := range st.f.wrecks {
+		wreckOf[wr.hostID] = wr // at most one: a host crashes once per plan
 	}
 	var slots []*slot
 	for _, h := range c.hosts {

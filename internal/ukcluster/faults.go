@@ -2,6 +2,7 @@ package ukcluster
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"unikraft/internal/ukfault"
@@ -17,7 +18,7 @@ import (
 //     then does the router stop routing to the host, requeue what it
 //     can, and seed a replacement by snapshot re-handoff.
 //   - A forward dispatched into a dead host or a lossy/partitioned link
-//     fails at min(dispatch+ReplyTimeout, detection) and re-enters the
+//     fails at min(dispatch+replyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
 //     (RetryLimit) and per trace (RetryBudget).
 //   - The dead host's pool and its pre-crash sub-trace detach into a
@@ -25,25 +26,31 @@ import (
 //     so completions before the crash count and everything in flight at
 //     T is Failed — the requests no failover machinery can save.
 //
-// With a nil (or empty) plan none of this state exists and the routing
-// pass is bit-for-bit the pre-fault code path.
+// Every serve runs the engine. A plan with no cluster faults (nil,
+// empty, or a VM hazard alone) schedules no probe and never sheds
+// statically, so nothing in it can fire and the routing pass prices
+// exactly what a serve without a plan would.
 
 // faultState is the per-serve fault bookkeeping hanging off routeState.
 type faultState struct {
-	plan *ukfault.Plan
+	plan *ukfault.Plan // never nil: a nil Config.Faults becomes empty
+	// armed is plan.ClusterFaults(): whether the probe schedule runs
+	// (probes charge the router pipeline) and the static shed cliff is
+	// live.
+	armed bool
 
 	crashes    []crashEvent // ordered by detectAt (ties: host id)
 	nextCrash  int
 	rejoins    []rejoinEvent // ordered by at (ties: host id)
 	nextRejoin int
 
-	probeAt time.Duration // next probe round
+	probeAt time.Duration // next probe round (never when unarmed)
 
 	retries  retryHeap
 	retrySeq uint64
 	used     int // retries consumed from the per-trace budget
 
-	// throttle is the retry token bucket (starts at RetryThrottleBurst;
+	// throttle is the retry token bucket (starts at retryThrottleBurst;
 	// successful forwards refill it at RetryThrottleRatio per forward,
 	// each retry spends 1). Only consulted when the throttle is armed.
 	throttle float64
@@ -134,14 +141,18 @@ func (h retryHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// newFaultState arms the engine for one serve, or returns nil when the
-// plan carries nothing the router must act on.
+// newFaultState sets the engine up for one serve. Only an armed plan
+// schedules probe rounds.
 func (c *Cluster) newFaultState() *faultState {
 	p := c.cfg.Faults
-	if !p.ClusterFaults() {
-		return nil
+	if p == nil {
+		p = &ukfault.Plan{}
 	}
-	f := &faultState{plan: p, probeAt: c.cfg.ProbeEvery, throttle: c.cfg.RetryThrottleBurst}
+	f := &faultState{plan: p, armed: p.ClusterFaults(),
+		probeAt: math.MaxInt64, throttle: retryThrottleBurst}
+	if f.armed {
+		f.probeAt = probeEvery
+	}
 	for _, cr := range p.Crashes {
 		f.crashes = append(f.crashes, crashEvent{
 			host: cr.Host, at: cr.At, detectAt: c.detectTime(cr.At),
@@ -150,13 +161,15 @@ func (c *Cluster) newFaultState() *faultState {
 			f.rejoins = append(f.rejoins, rejoinEvent{host: cr.Host, at: cr.At + cr.Rejoin})
 		}
 	}
-	sortStableBy(f.crashes, func(a, b crashEvent) bool {
+	sort.SliceStable(f.crashes, func(i, j int) bool {
+		a, b := f.crashes[i], f.crashes[j]
 		if a.detectAt != b.detectAt {
 			return a.detectAt < b.detectAt
 		}
 		return a.host < b.host
 	})
-	sortStableBy(f.rejoins, func(a, b rejoinEvent) bool {
+	sort.SliceStable(f.rejoins, func(i, j int) bool {
+		a, b := f.rejoins[i], f.rejoins[j]
 		if a.at != b.at {
 			return a.at < b.at
 		}
@@ -167,25 +180,19 @@ func (c *Cluster) newFaultState() *faultState {
 
 // detectTime is when the router concludes a host that fail-stopped at
 // `at` is dead: the first full probe round after the crash goes
-// unanswered, ProbeMisses-1 further rounds confirm, and the last
+// unanswered, probeMisses-1 further rounds confirm, and the last
 // probe's timeout expires.
 func (c *Cluster) detectTime(at time.Duration) time.Duration {
-	pe := c.cfg.ProbeEvery
-	first := (at/pe + 1) * pe
-	return first + time.Duration(c.cfg.ProbeMisses-1)*pe + c.cfg.ProbeTimeout
+	first := (at/probeEvery + 1) * probeEvery
+	return first + (probeMisses-1)*probeEvery + probeTimeoutRTTs*c.cfg.Link.RTT
 }
 
 // advance processes every control-plane event due by now in
 // deterministic time order: autoscaler evaluations, probe rounds, crash
 // detections, rejoins and retry firings (ties resolve in that fixed
-// order). Without a fault plan it is exactly the pre-fault autoscale
-// loop.
+// order).
 func (c *Cluster) advance(st *routeState, now time.Duration) {
 	f := st.f
-	if f == nil {
-		c.autoscale(st, now)
-		return
-	}
 	const (
 		kNone = iota
 		kEval
@@ -221,7 +228,7 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 			st.evalAt += c.cfg.EvalEvery
 		case kProbe:
 			c.probe(st, f.probeAt)
-			f.probeAt += c.cfg.ProbeEvery
+			f.probeAt += probeEvery
 		case kDetect:
 			c.detectCrash(st, f.crashes[f.nextCrash])
 			f.nextCrash++
@@ -243,9 +250,6 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 // silently vanish.
 func (c *Cluster) drainFaults(st *routeState) {
 	f := st.f
-	if f == nil {
-		return
-	}
 	for {
 		t := time.Duration(math.MaxInt64)
 		if f.nextCrash < len(f.crashes) && f.crashes[f.nextCrash].detectAt < t {
@@ -270,12 +274,7 @@ func (c *Cluster) drainFaults(st *routeState) {
 // Detection itself derives from the probe *schedule* (detectTime), so
 // the round here is the cost and the counters, not a liveness scan.
 func (c *Cluster) probe(st *routeState, t time.Duration) {
-	n := 0
-	for _, h := range c.hosts {
-		if h.active {
-			n++
-		}
-	}
+	n := c.serving()
 	if n == 0 {
 		return
 	}
@@ -426,16 +425,5 @@ func (c *Cluster) shed(st *routeState, at time.Duration, class int) {
 	st.rep.Shed++
 	if class >= ukpool.ClassBatch {
 		st.rep.ShedBatch++
-	}
-}
-
-// sortStableBy is a tiny insertion sort: fault schedules are a handful
-// of entries, and keeping it dependency-free beats pulling in
-// sort.Slice closures for two call sites.
-func sortStableBy[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -237,6 +237,43 @@ func TestPartitionRetries(t *testing.T) {
 	}
 }
 
+// TestDrainRequeueKeepsAttempt: a retried request that is in flight to
+// a host when the host drains bounces back through the front door with
+// its retry ordinal intact. Reset to attempt 0, it would get a fresh
+// RetryLimit and a different pool crash draw. Every forward reaches a
+// host in the end (no crash, a retry limit nothing exhausts), so the
+// retry ordinals the hosts receive must add up to the router's retry
+// count exactly.
+func TestDrainRequeueKeepsAttempt(t *testing.T) {
+	c := newTestCluster(t, Config{
+		Hosts: 4, InitialActive: 4,
+		Policy:   RoundRobin,
+		LowWater: 4, HighWater: 1 << 20,
+		DrainAfter: 1,
+		RetryLimit: 100,
+		Faults:     ukfault.New(9).DegradeLink(-1, 0, time.Second, 30*time.Millisecond, 0.3),
+	})
+	defer c.Close()
+	st, err := c.route(flashTrace(5_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := st.rep
+	if rep.Requeued == 0 || rep.Retried == 0 || rep.Failed != 0 {
+		t.Fatalf("scenario lost its shape: requeued=%d retried=%d failed=%d",
+			rep.Requeued, rep.Retried, rep.Failed)
+	}
+	attempts := 0
+	for _, h := range c.hosts {
+		for _, r := range h.assigned {
+			attempts += r.Attempt
+		}
+	}
+	if attempts != rep.Retried {
+		t.Errorf("hosts received %d retry attempts, router retried %d forwards", attempts, rep.Retried)
+	}
+}
+
 // TestRetryBudgetExhaustion: with a hard per-trace retry budget, losses
 // beyond it fail instead of retrying — bounded, explicit, counted.
 func TestRetryBudgetExhaustion(t *testing.T) {

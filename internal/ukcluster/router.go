@@ -36,12 +36,12 @@ type routeState struct {
 	// their caches.
 	activated []int
 
-	// f is the fault engine's per-serve state; nil when no cluster-level
-	// fault plan is armed (the byte-identical fast path).
+	// f is the fault engine's per-serve state. Every serve runs it; a
+	// plan with nothing for the router to act on leaves it idle.
 	f *faultState
 
 	// adm is the adaptive admission controller; nil when AdmitTarget is
-	// unset (the byte-identical fast path, independently of f).
+	// unset.
 	adm *admitState
 }
 
@@ -56,21 +56,21 @@ type routeState struct {
 type admitState struct {
 	seed   uint64
 	target float64 // AdmitTarget, in float ns (the perCore unit)
-	mult   float64 // interactive threshold = mult * target
 	pBatch float64 // current batch-class drop probability
 	pInt   float64 // current interactive-class drop probability
 }
 
 // update recomputes the per-class drop probabilities from the current
 // estimated queue delay d (float ns). Batch sheds past the target,
-// interactive only past mult times it — staged sacrifice: by the time
-// interactive traffic is touched, batch is already being cut hard.
+// interactive only past admitInteractiveMult times it — staged
+// sacrifice: by the time interactive traffic is touched, batch is
+// already being cut hard.
 func (a *admitState) update(d float64) {
 	a.pBatch, a.pInt = 0, 0
 	if d > a.target {
 		a.pBatch = (d - a.target) / d
 	}
-	if hi := a.mult * a.target; d > hi {
+	if hi := admitInteractiveMult * a.target; d > hi {
 		a.pInt = (d - hi) / d
 	}
 }
@@ -113,14 +113,10 @@ func splitmix64(x uint64) uint64 {
 // latency while scheduling on host-local time.
 func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 	rep := &Report{Hosts: c.cfg.Hosts, Cores: c.cfg.Cores, Policy: c.cfg.Policy}
-	st := &routeState{rep: rep, m: c.cfg.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true}
-	st.f = c.newFaultState()
+	st := &routeState{rep: rep, m: sim.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true,
+		f: c.newFaultState()}
 	if c.cfg.AdmitTarget > 0 {
-		st.adm = &admitState{
-			seed:   c.cfg.AdmitSeed,
-			target: float64(c.cfg.AdmitTarget),
-			mult:   c.cfg.AdmitInteractiveMult,
-		}
+		st.adm = &admitState{seed: c.cfg.AdmitSeed, target: float64(c.cfg.AdmitTarget)}
 	}
 
 	for _, h := range c.hosts {
@@ -148,7 +144,7 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 			req.Deadline = req.Arrival + c.cfg.DefaultDeadline
 		}
 		c.advance(st, req.Arrival)
-		if st.f != nil && st.f.shedding {
+		if st.f.shedding {
 			c.shed(st, req.Arrival, req.Class)
 			continue
 		}
@@ -212,6 +208,7 @@ func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration)
 // router won't know until detection) — those forwards never reach a
 // pool and go through the retry machinery instead.
 func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch time.Duration) {
+	f := st.f
 	origin := req.Arrival
 	if req.Origin != 0 {
 		origin = req.Origin
@@ -222,63 +219,48 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		// waits for the replacement's handoff to land.
 		base = h.readyAt
 	}
-	fwd := c.cfg.Link.ForwardDelay(req.Bytes)
-	if f := st.f; f != nil {
-		extra, loss, part := f.linkAt(h.id, base)
-		arrival := base + fwd + extra
-		lost, detect := part, time.Duration(0)
-		if !lost && loss > 0 {
-			draw := ukfault.Frac(ukfault.Mix(f.plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
-			lost = draw < loss
+	extra, loss, part := f.linkAt(h.id, base)
+	arrival := base + c.cfg.Link.ForwardDelay(req.Bytes) + extra
+	lost, detect := part, time.Duration(0)
+	if !lost && loss > 0 {
+		draw := ukfault.Frac(ukfault.Mix(f.plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
+		lost = draw < loss
+	}
+	// Forwards landing in the host's dead window die there. A rejoined
+	// host serves again — only the window between crash and rejoin
+	// swallows traffic.
+	if cr, ok := f.plan.CrashOf(h.id); ok && arrival > cr.At &&
+		(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
+		lost = true
+		detect = c.detectTime(cr.At)
+	}
+	if lost {
+		failAt := base + replyTimeout
+		if detect > 0 && detect < failAt {
+			failAt = detect
 		}
-		// Forwards landing in the host's dead window die there. A
-		// rejoined host serves again — only the window between crash
-		// and rejoin swallows traffic.
-		if cr, ok := f.plan.CrashOf(h.id); ok && arrival > cr.At &&
-			(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
-			lost = true
-			detect = c.detectTime(cr.At)
-		}
-		if lost {
-			failAt := base + c.cfg.ReplyTimeout
-			if detect > 0 && detect < failAt {
-				failAt = detect
-			}
-			c.loseForward(st, req, origin, failAt)
-			return
-		}
-		st.rep.Route.Record(arrival - origin)
-		h.decay(base, c.cfg.Cores)
-		est := c.cfg.EstService
-		if fac := f.plan.SlowAt(h.id, base); fac > 1 {
-			// A slowed host works its backlog off slower than the fluid
-			// model's uniform decay assumes; inflating what we add keeps
-			// the model honest, steers least-loaded around the sick host,
-			// and lets the admission controller see the pressure it causes.
-			est = time.Duration(float64(est) * fac)
-		}
-		h.backlog += est
-		if c.cfg.RetryThrottleRatio > 0 {
-			// A forward that made it through earns the retry bucket its
-			// keep (capped): retries stay a bounded fraction of success.
-			f.throttle += c.cfg.RetryThrottleRatio
-			if f.throttle > c.cfg.RetryThrottleBurst {
-				f.throttle = c.cfg.RetryThrottleBurst
-			}
-		}
-		h.assigned = append(h.assigned, ukpool.Request{
-			Arrival: arrival, Bytes: req.Bytes, Key: req.Key, Origin: origin,
-			Attempt: req.Attempt, Deadline: req.Deadline, Class: req.Class,
-		})
+		c.loseForward(st, req, origin, failAt)
 		return
 	}
-	arrival := dispatch + fwd
 	st.rep.Route.Record(arrival - origin)
-	h.decay(dispatch, c.cfg.Cores)
-	h.backlog += c.cfg.EstService
+	h.decay(base, c.cfg.Cores)
+	est := c.cfg.EstService
+	if fac := f.plan.SlowAt(h.id, base); fac > 1 {
+		// A slowed host works its backlog off slower than the fluid
+		// model's uniform decay assumes; inflating what we add keeps the
+		// model honest, steers least-loaded around the sick host, and
+		// lets the admission controller see the pressure it causes.
+		est = time.Duration(float64(est) * fac)
+	}
+	h.backlog += est
+	if c.cfg.RetryThrottleRatio > 0 {
+		// A forward that made it through earns the retry bucket its keep
+		// (capped): retries stay a bounded fraction of success.
+		f.throttle = min(f.throttle+c.cfg.RetryThrottleRatio, retryThrottleBurst)
+	}
 	h.assigned = append(h.assigned, ukpool.Request{
 		Arrival: arrival, Bytes: req.Bytes, Key: req.Key, Origin: origin,
-		Deadline: req.Deadline, Class: req.Class,
+		Attempt: req.Attempt, Deadline: req.Deadline, Class: req.Class,
 	})
 }
 
@@ -382,7 +364,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 			// collide exactly with host 0's vnodes (0<<20|v = v) and
 			// the whole key space lands on one host.
 			hostSalt := splitmix64(uint64(h.id) + 1)
-			for v := 0; v < c.cfg.VirtualNodes; v++ {
+			for v := 0; v < virtualNodes; v++ {
 				st.ring = append(st.ring, ringPoint{
 					hash: splitmix64(hostSalt + uint64(v)),
 					host: h.id,
@@ -410,17 +392,6 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 	return leastLoaded(readyHosts(c.hosts, dispatch), dispatch, c.cfg.Cores)
 }
 
-// autoscale runs every evaluation window that elapsed before time now —
-// the no-fault path; the fault engine interleaves autoscaleStep with
-// its own events via advance instead.
-func (c *Cluster) autoscale(st *routeState, now time.Duration) {
-	for st.evalAt <= now {
-		t := st.evalAt
-		st.evalAt += c.cfg.EvalEvery
-		c.autoscaleStep(st, t)
-	}
-}
-
 // autoscaleStep is one evaluation window at time t. Spills and drains
 // both require their condition to hold for a streak of consecutive
 // windows (hysteresis), and act one host at a time.
@@ -441,9 +412,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 		total += h.backlog
 	}
 	if serving == 0 {
-		if st.f != nil {
-			st.f.shedding = true // nothing serving: reject at the door
-		}
+		st.f.shedding = true // nothing serving: reject at the door
 		return
 	}
 	perCore := float64(total) / float64(serving*c.cfg.Cores)
@@ -469,14 +438,12 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 		st.drainCount = 0
 	}
 
-	// Admission control, armed only with a fault plan and only once
-	// scale-out is exhausted: with standby capacity left, a deep
-	// backlog is the spill path's problem; with none — the fleet maxed
-	// or the spares crashed — shed new arrivals at the door rather
-	// than queueing them into a latency cliff.
-	if st.f != nil {
-		st.f.shedding = standby == 0 && perCore > c.cfg.ShedWater*est
-	}
+	// Static shedding, live only under a plan with cluster faults and
+	// only once scale-out is exhausted: with standby capacity left, a
+	// deep backlog is the spill path's problem; with none — the fleet
+	// maxed or the spares crashed — shed new arrivals at the door
+	// rather than queueing them into a latency cliff.
+	st.f.shedding = st.f.armed && standby == 0 && perCore > shedWaterMult*c.cfg.HighWater*est
 
 	// The adaptive admission controller re-targets on the same signal
 	// (estimated queue delay per core) each window. Unlike the static
@@ -593,12 +560,11 @@ func (c *Cluster) drain(st *routeState, t time.Duration) {
 	h.assigned = kept
 	for _, r := range bounced {
 		// Re-enter the front door at the bounce moment: same router
-		// box, same cost model, Origin preserved so end-to-end latency
-		// still counts from the client arrival.
-		c.routeOne(st, ukpool.Request{
-			Arrival: t, Bytes: r.Bytes, Key: r.Key, Origin: r.Origin,
-			Deadline: r.Deadline, Class: r.Class,
-		}, t)
+		// box, same cost model, Origin and Attempt preserved so
+		// end-to-end latency still counts from the client arrival and a
+		// retried request keeps its place in the retry limit.
+		r.Arrival = t
+		c.routeOne(st, r, t)
 		st.rep.Requeued++
 	}
 }

@@ -49,16 +49,9 @@ type Config struct {
 	// TargetP99 is the request-latency SLO; a window whose p99 exceeds
 	// it triggers a scale-up regardless of utilization (default 2ms).
 	TargetP99 time.Duration
-	// Headroom multiplies the Little's-law concurrency estimate
-	// (arrival rate x mean service time) when sizing the warm set
-	// (default 2.0).
-	Headroom float64
 	// Autoscale enables the rate/latency-driven warm-set controller
 	// (default on; DisableAutoscale turns it off).
 	Autoscale bool
-	// PerRequestHeap makes every request malloc/free its payload buffer
-	// on the instance's real heap allocator (default on).
-	PerRequestHeap bool
 	// ZeroCopy drops the per-request payload copy charges (RX and TX)
 	// from the service-time model — the Spec's WithZeroCopy plumbed
 	// into the serving layer (default off: the copying path is the
@@ -107,12 +100,9 @@ type Config struct {
 	// BrownoutWater, when > 0, arms the brownout hook: a request that
 	// starts service while at least this many requests are queued behind
 	// it is served degraded — RequestWork is skipped and the application
-	// work drops to BrownoutCycles — trading response fidelity for
+	// work drops to half of AppCycles — trading response fidelity for
 	// drain rate before anything is dropped. Counted in Report.Browned.
 	BrownoutWater int
-	// BrownoutCycles is the degraded-mode application work per request
-	// (default AppCycles / 2).
-	BrownoutCycles uint64
 	// SlowFactor > 1 multiplies every service time by that factor inside
 	// the virtual-time window [SlowFrom, SlowTo) — external interference
 	// (a noisy neighbor, a failing disk) that slows the host without
@@ -170,16 +160,9 @@ func WithScaleWindow(d time.Duration) Option { return func(c *Config) { c.ScaleW
 // WithTargetP99 sets the latency SLO driving scale-ups.
 func WithTargetP99(d time.Duration) Option { return func(c *Config) { c.TargetP99 = d } }
 
-// WithHeadroom sets the warm-set capacity margin.
-func WithHeadroom(h float64) Option { return func(c *Config) { c.Headroom = h } }
-
 // DisableAutoscale pins the warm set at MinWarm (cold boots still
 // happen on demand up to MaxInstances).
 func DisableAutoscale() Option { return func(c *Config) { c.Autoscale = false } }
-
-// DisablePerRequestHeap turns off the per-request malloc/free on the
-// instance heap (pure cost-model service time).
-func DisablePerRequestHeap() Option { return func(c *Config) { c.PerRequestHeap = false } }
 
 // WithZeroCopy switches the per-request cost model to zero-copy buffer
 // handoff: no payload copy charges on receive or send.
@@ -368,9 +351,7 @@ func New(boot BootFunc, opts ...Option) *Pool {
 		RecycleEvery:       4096,
 		ScaleWindow:        50 * time.Millisecond,
 		TargetP99:          2 * time.Millisecond,
-		Headroom:           2.0,
 		Autoscale:          true,
-		PerRequestHeap:     true,
 		KickBatch:          1,
 		CrashRetries:       2,
 		BreakerAfter:       3,
@@ -386,9 +367,6 @@ func New(boot BootFunc, opts ...Option) *Pool {
 	}
 	if cfg.ScaleWindow <= 0 {
 		cfg.ScaleWindow = 50 * time.Millisecond
-	}
-	if !(cfg.Headroom >= 1) {
-		cfg.Headroom = 1
 	}
 	if cfg.ColdBurst < 1 {
 		cfg.ColdBurst = 1
@@ -464,7 +442,7 @@ type Report struct {
 	// cluster's Shed (refused by admission before reaching a host).
 	Expired int
 	// Browned counts service windows started in degraded (brownout)
-	// mode: RequestWork skipped, application work cut to BrownoutCycles.
+	// mode: RequestWork skipped, application work halved.
 	Browned int
 	// ScaleUps and ScaleDowns count autoscaler resize decisions.
 	ScaleUps, ScaleDowns int
@@ -1197,9 +1175,9 @@ func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration)
 // serviceTime performs one request's work on the instance: syscalls
 // through the shim, two virtqueue kicks (amortized over KickBatch),
 // payload copies in and out (elided under ZeroCopy), the application
-// cycles, and (by default) a real malloc/free of the payload buffer on
-// the instance heap. In brownout mode the application work drops to
-// BrownoutCycles and RequestWork is skipped — the degraded variant a
+// cycles, and a real malloc/free of the payload buffer on the instance
+// heap. In brownout mode the application work halves and RequestWork is
+// skipped — the degraded variant a
 // pressured server answers with instead of dropping.
 func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration {
 	m := inst.vm.Machine
@@ -1207,9 +1185,7 @@ func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration 
 	kicks := 2 * m.Costs.VMExit / uint64(p.cfg.KickBatch)
 	app := p.cfg.AppCycles
 	if brown {
-		if app = p.cfg.BrownoutCycles; app == 0 {
-			app = p.cfg.AppCycles / 2
-		}
+		app /= 2
 	}
 	m.Charge(uint64(p.cfg.SyscallsPerRequest)*m.Costs.UnikraftSyscall +
 		kicks + app)
@@ -1217,7 +1193,7 @@ func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration 
 		m.ChargeCopy(bytes) // rx
 		m.ChargeCopy(bytes) // tx
 	}
-	if p.cfg.PerRequestHeap && bytes > 0 {
+	if bytes > 0 {
 		if ptr, err := inst.vm.Heap.Malloc(bytes); err == nil {
 			_ = inst.vm.Heap.Free(ptr)
 		}
@@ -1228,6 +1204,11 @@ func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration 
 	}
 	return m.CPU.Duration(m.CPU.Cycles() - start)
 }
+
+// headroom multiplies the Little's-law concurrency estimate (arrival
+// rate x effective residence time) when the autoscaler sizes the warm
+// set.
+const headroom = 2.0
 
 // tick is one autoscaler evaluation: size the warm set from the
 // window's arrival rate and the service-time EWMA (Little's law with
@@ -1248,7 +1229,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		if st.winArrivals > 0 && st.winCold > 0 && st.ewmaBoot > 0 {
 			eff += time.Duration(float64(st.ewmaBoot) * float64(st.winCold) / float64(st.winArrivals))
 		}
-		need := int(math.Ceil(rate * eff.Seconds() * p.cfg.Headroom))
+		need := int(math.Ceil(rate * eff.Seconds() * headroom))
 		if need > desired {
 			desired = need
 		}
@@ -1334,12 +1315,7 @@ func (p *Pool) takeColdest() *instance { return p.idle.popFront() }
 // retire removes inst from the fleet (O(1) via its fleet index) and
 // releases its resources.
 func (p *Pool) retire(inst *instance) {
-	last := len(p.fleet) - 1
-	i := inst.fleetIdx
-	p.fleet[i] = p.fleet[last]
-	p.fleet[i].fleetIdx = i
-	p.fleet[last] = nil
-	p.fleet = p.fleet[:last]
+	p.dropSlot(inst)
 	inst.vm.Close()
 }
 

@@ -425,11 +425,3 @@ func TestWorkloadShapes(t *testing.T) {
 		}
 	}
 }
-
-// TestNaNHeadroomTakesFloor: a NaN headroom takes the floor of 1 like
-// any value below it, instead of poisoning every warm-set target.
-func TestNaNHeadroomTakesFloor(t *testing.T) {
-	if h := New(nil, WithHeadroom(math.NaN())).cfg.Headroom; h != 1 {
-		t.Errorf("NaN headroom = %v, want 1", h)
-	}
-}

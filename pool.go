@@ -187,10 +187,6 @@ func WithPoolServiceCost(syscalls int, appCycles uint64) PoolOption {
 	return ukpool.WithServiceCost(syscalls, appCycles)
 }
 
-// WithPoolRecycleEvery resets an instance's heap after n served
-// requests (default 4096; 0 disables).
-func WithPoolRecycleEvery(n int) PoolOption { return ukpool.WithRecycleEvery(n) }
-
 // WithPoolScaleWindow sets the autoscaler tick period (default 50ms of
 // virtual time).
 func WithPoolScaleWindow(d time.Duration) PoolOption { return ukpool.WithScaleWindow(d) }
@@ -199,18 +195,9 @@ func WithPoolScaleWindow(d time.Duration) PoolOption { return ukpool.WithScaleWi
 // (default 2ms).
 func WithPoolTargetP99(d time.Duration) PoolOption { return ukpool.WithTargetP99(d) }
 
-// WithPoolHeadroom sets the autoscaler's capacity margin over the
-// Little's-law estimate (default 2.0).
-func WithPoolHeadroom(h float64) PoolOption { return ukpool.WithHeadroom(h) }
-
 // DisablePoolAutoscale pins the warm set at the floor; cold boots still
 // happen on demand.
 func DisablePoolAutoscale() PoolOption { return ukpool.DisableAutoscale() }
-
-// DisablePoolPerRequestHeap drops the per-request malloc/free pair from
-// the pool's service-time model (for apps that serve from static
-// buffers).
-func DisablePoolPerRequestHeap() PoolOption { return ukpool.DisablePerRequestHeap() }
 
 // WithPoolDeadline stamps arrival + d as the deadline on every request
 // that reaches the pool without one. Expired requests — dead on
